@@ -49,5 +49,37 @@ fn bench_similarity_build(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_greedy_variants, bench_similarity_build);
+/// The production similarity build: one 100-row partition chunk whose
+/// candidates are last-layer gradients `residual (10) ⊗ feature (96)`.
+fn bench_factored_build(c: &mut Criterion) {
+    let residuals = clustered(100, 10, 11);
+    let features = clustered(100, 96, 12);
+    c.bench_function("similarity_factored_100x(10,96)", |b| {
+        b.iter(|| {
+            black_box(SimilarityMatrix::from_factored(
+                black_box(&residuals),
+                black_box(&features),
+            ))
+        })
+    });
+}
+
+/// The proxy forward's final layer: 8000 penultimate activations (96
+/// wide) against the 10×96 output weights.
+fn bench_proxy_matmul(c: &mut Criterion) {
+    let mut rng = Rng64::new(13);
+    let acts = Tensor::randn(&[8000, 96], 0.0, 1.0, &mut rng);
+    let weights = Tensor::randn(&[10, 96], 0.0, 0.1, &mut rng);
+    c.bench_function("matmul_transb_8000x96_by_10x96", |b| {
+        b.iter(|| black_box(black_box(&acts).matmul_transb(black_box(&weights))))
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_greedy_variants,
+    bench_similarity_build,
+    bench_factored_build,
+    bench_proxy_matmul
+);
 criterion_main!(benches);

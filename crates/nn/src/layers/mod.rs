@@ -322,6 +322,37 @@ mod tests {
     }
 
     #[test]
+    fn linear_forward_is_bit_identical_to_sequential_dots() {
+        // Reference: one sequential dot per output from 0.0, then the bias.
+        let mut rng = Rng64::new(3);
+        for (batch, inp, out) in [(0, 4, 3), (1, 1, 1), (7, 96, 10), (33, 32, 96), (5, 0, 4)] {
+            let mut l = Linear::new(inp, out, &mut rng);
+            l.bias.value = Tensor::randn(&[out], 0.0, 1.0, &mut rng);
+            let mut x = Tensor::randn(&[batch, inp], 0.0, 1.0, &mut rng);
+            if batch > 1 {
+                x.row_mut(0).fill(-0.0);
+                x.row_mut(1).iter_mut().for_each(|v| *v *= 1e-39);
+            }
+            let y = l.forward(&x, false);
+            let w = &l.weight.value;
+            for i in 0..batch {
+                for (j, (&got, &bias)) in y.row(i).iter().zip(l.bias.value.as_slice()).enumerate() {
+                    let mut acc = 0.0f32;
+                    for (&xv, &wv) in x.row(i).iter().zip(w.row(j)) {
+                        acc += xv * wv;
+                    }
+                    let expect = acc + bias;
+                    assert_eq!(
+                        got.to_bits(),
+                        expect.to_bits(),
+                        "[{i},{j}] of {batch}x{inp}->{out}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn linear_gradients_match_finite_difference() {
         let mut rng = Rng64::new(1);
         let mut l = Linear::new(3, 4, &mut rng);

@@ -51,6 +51,13 @@ impl SimilarityMatrix {
     /// last-layer gradients (residual ⊗ feature) without materializing
     /// them.
     ///
+    /// Only the `j > i` half of the two Gram matrices is computed, one
+    /// contiguous row segment at a time, and each distance is mirrored to
+    /// `(j, i)`. Every Gram entry accumulates `0.0 + a_ik·a_jk` over k in
+    /// sequential order and IEEE multiplication and addition commute, so
+    /// the result is bit-identical to building both full Grams with one
+    /// sequential dot per entry.
+    ///
     /// # Panics
     ///
     /// Panics if the factors are not 2-D or have different row counts.
@@ -59,22 +66,30 @@ impl SimilarityMatrix {
         assert_eq!(b.ndim(), 2, "factor b must be 2-D");
         assert_eq!(a.dim(0), b.dim(0), "factors must have equal row counts");
         let n = a.dim(0);
-        let ga = a.matmul_transb(a);
-        let gb = b.matmul_transb(b);
-        let sq: Vec<f32> = (0..n).map(|i| ga.at(&[i, i]) * gb.at(&[i, i])).collect();
-        let mut dists = vec![0.0f32; n * n];
+        let self_dot = |row: &[f32]| row.iter().fold(0.0f32, |acc, &x| acc + x * x);
+        let sq: Vec<f32> = (0..n)
+            .map(|i| self_dot(a.row(i)) * self_dot(b.row(i)))
+            .collect();
+        // Column-major copies: row p of `at` holds feature p of every
+        // candidate, so a Gram row segment is a contiguous AXPY sweep.
+        let (at, bt) = (a.transpose(), b.transpose());
+        let mut ga = vec![0.0f32; n];
+        let mut gb = vec![0.0f32; n];
+        let mut sim = vec![0.0f32; n * n];
         let mut c0 = 0.0f32;
         for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let d = (sq[i] + sq[j] - 2.0 * ga.at(&[i, j]) * gb.at(&[i, j])).max(0.0);
-                dists[i * n + j] = d;
+            half_gram_row(a.row(i), at.as_slice(), n, i, &mut ga[i + 1..]);
+            half_gram_row(b.row(i), bt.as_slice(), n, i, &mut gb[i + 1..]);
+            for (j, (&ga_ij, &gb_ij)) in (i + 1..n).zip(ga[i + 1..].iter().zip(&gb[i + 1..])) {
+                let d = (sq[i] + sq[j] - 2.0 * ga_ij * gb_ij).max(0.0);
+                sim[i * n + j] = d;
+                sim[j * n + i] = d;
                 c0 = c0.max(d);
             }
         }
-        let sim = dists.iter().map(|&d| c0 - d).collect();
+        for s in &mut sim {
+            *s = c0 - *s;
+        }
         Self { n, sim }
     }
 
@@ -162,6 +177,18 @@ impl SimilarityMatrix {
             w[best] += 1.0;
         }
         w
+    }
+}
+
+/// Writes `out[j − i − 1] = Σ_k row[k]·cols[k·n + j]` for every `j > i`,
+/// where `cols` is a column-major `width × n` factor. Each sum starts at
+/// `0.0` and runs over k in order; the j loop is innermost and contiguous.
+fn half_gram_row(row: &[f32], cols: &[f32], n: usize, i: usize, out: &mut [f32]) {
+    out.fill(0.0);
+    for (p, &x) in row.iter().enumerate() {
+        for (o, &y) in out.iter_mut().zip(&cols[p * n + i + 1..(p + 1) * n]) {
+            *o += x * y;
+        }
     }
 }
 
@@ -414,6 +441,101 @@ fn stochastic_greedy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The full-Gram `from_factored` the half-Gram build replaced, with
+    /// one sequential dot per Gram entry, kept as its bit-exactness oracle.
+    fn from_factored_oracle(a: &Tensor, b: &Tensor) -> SimilarityMatrix {
+        let n = a.dim(0);
+        let gram = |t: &Tensor| -> Vec<f32> {
+            let mut g = vec![0.0f32; n * n];
+            for i in 0..n {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for (&x, &y) in t.row(i).iter().zip(t.row(j)) {
+                        acc += x * y;
+                    }
+                    g[i * n + j] = acc;
+                }
+            }
+            g
+        };
+        let (ga, gb) = (gram(a), gram(b));
+        let sq: Vec<f32> = (0..n).map(|i| ga[i * n + i] * gb[i * n + i]).collect();
+        let mut dists = vec![0.0f32; n * n];
+        let mut c0 = 0.0f32;
+        for i in 0..n {
+            for j in 0..n {
+                if i == j {
+                    continue;
+                }
+                let d = (sq[i] + sq[j] - 2.0 * ga[i * n + j] * gb[i * n + j]).max(0.0);
+                dists[i * n + j] = d;
+                c0 = c0.max(d);
+            }
+        }
+        let sim = dists.iter().map(|&d| c0 - d).collect();
+        SimilarityMatrix { n, sim }
+    }
+
+    /// A `rows × width` factor mixing dense rows, duplicates of earlier
+    /// rows, signed-zero rows and rows of subnormal values of either sign.
+    fn tricky_rows(rows: usize, width: usize, rng: &mut Rng64) -> Tensor {
+        let mut data = Vec::with_capacity(rows * width);
+        for r in 0..rows {
+            match rng.index(5) {
+                0 if r > 0 => {
+                    let src = rng.index(r);
+                    data.extend_from_within(src * width..(src + 1) * width);
+                }
+                1 => data.extend((0..width).map(|_| if rng.coin(0.5) { 0.0 } else { -0.0 })),
+                2 => data.extend((0..width).map(|_| rng.uniform(-1.0, 1.0) * 1e-38)),
+                _ => data.extend((0..width).map(|_| rng.normal(0.0, 3.0))),
+            }
+        }
+        Tensor::from_vec(data, &[rows, width])
+    }
+
+    fn sim_bits(s: &SimilarityMatrix) -> Vec<u32> {
+        s.sim.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Row counts: empty, single, pair, odd, and the production chunk.
+    const ROWS: [usize; 6] = [0, 1, 2, 7, 33, 100];
+    /// Factor widths, including the degenerate empty one; 10 and 96 are
+    /// the production residual and feature widths.
+    const WIDTHS: [usize; 5] = [0, 1, 3, 10, 96];
+
+    proptest! {
+        #[test]
+        fn from_factored_is_bit_identical_to_full_grams(
+            n in 0usize..ROWS.len(),
+            wa in 0usize..WIDTHS.len(),
+            wb in 0usize..WIDTHS.len(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Rng64::new(seed);
+            let a = tricky_rows(ROWS[n], WIDTHS[wa], &mut rng);
+            let b = tricky_rows(ROWS[n], WIDTHS[wb], &mut rng);
+            let fast = SimilarityMatrix::from_factored(&a, &b);
+            prop_assert_eq!(fast.len(), ROWS[n]);
+            prop_assert_eq!(sim_bits(&fast), sim_bits(&from_factored_oracle(&a, &b)));
+        }
+    }
+
+    #[test]
+    fn from_factored_all_zero_and_duplicate_rows_match_the_oracle() {
+        let zeros = Tensor::zeros(&[5, 4]);
+        let fast = SimilarityMatrix::from_factored(&zeros, &zeros);
+        assert_eq!(
+            sim_bits(&fast),
+            sim_bits(&from_factored_oracle(&zeros, &zeros))
+        );
+        let row = [1.5f32, -2.0, 3.25];
+        let dup = Tensor::from_vec(row.repeat(4), &[4, 3]);
+        let fast = SimilarityMatrix::from_factored(&dup, &dup);
+        assert_eq!(sim_bits(&fast), sim_bits(&from_factored_oracle(&dup, &dup)));
+    }
 
     fn clustered_features() -> Tensor {
         // Three tight clusters of 4 points each around (0,0), (10,0), (0,10).

@@ -21,18 +21,19 @@ pub fn pairwise_sq_dists(x: &Tensor) -> Tensor {
     assert_eq!(x.ndim(), 2, "pairwise_sq_dists requires a 2-D tensor");
     let n = x.dim(0);
     let gram = x.matmul_transb(x);
-    let sq: Vec<f32> = (0..n).map(|i| gram.at(&[i, i])).collect();
-    let mut out = Tensor::zeros(&[n, n]);
+    let g = gram.as_slice();
+    let sq: Vec<f32> = (0..n).map(|i| g[i * n + i]).collect();
+    let mut out = vec![0.0f32; n * n];
     for i in 0..n {
         for j in 0..n {
             if i == j {
                 continue;
             }
-            let d = sq[i] + sq[j] - 2.0 * gram.at(&[i, j]);
-            out.set(&[i, j], d.max(0.0));
+            let d = sq[i] + sq[j] - 2.0 * g[i * n + j];
+            out[i * n + j] = d.max(0.0);
         }
     }
-    out
+    Tensor::from_vec(out, &[n, n])
 }
 
 /// Squared Euclidean distances from every row of `x` (`n × d`) to every row
@@ -62,8 +63,8 @@ pub fn cross_sq_dists(x: &Tensor, centers: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(&[n, k]);
     for (i, &xi) in xs.iter().enumerate() {
         let row = out.row_mut(i);
-        for (j, r) in row.iter_mut().enumerate() {
-            *r = (xi + cs[j] - 2.0 * dots.at(&[i, j])).max(0.0);
+        for ((r, &cj), &dot) in row.iter_mut().zip(&cs).zip(dots.row(i)) {
+            *r = (xi + cj - 2.0 * dot).max(0.0);
         }
     }
     out

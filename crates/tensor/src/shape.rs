@@ -68,22 +68,21 @@ impl Shape {
     /// Returns [`ShapeError::IndexOutOfBounds`] when `index` has the wrong
     /// rank or any coordinate exceeds its dimension.
     pub fn offset(&self, index: &[usize]) -> Result<usize, ShapeError> {
-        if index.len() != self.dims.len() {
+        let in_bounds =
+            index.len() == self.dims.len() && index.iter().zip(&self.dims).all(|(&i, &d)| i < d);
+        if !in_bounds {
             return Err(ShapeError::IndexOutOfBounds {
                 index: index.to_vec(),
                 shape: self.dims.clone(),
             });
         }
+        // Innermost dimension first, so the stride accumulates without
+        // materializing `strides()`.
         let mut off = 0;
-        let strides = self.strides();
-        for (d, (&i, &s)) in index.iter().zip(strides.iter()).enumerate() {
-            if i >= self.dims[d] {
-                return Err(ShapeError::IndexOutOfBounds {
-                    index: index.to_vec(),
-                    shape: self.dims.clone(),
-                });
-            }
-            off += i * s;
+        let mut stride = 1;
+        for (&i, &d) in index.iter().zip(&self.dims).rev() {
+            off += i * stride;
+            stride *= d;
         }
         Ok(off)
     }

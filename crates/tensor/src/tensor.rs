@@ -246,8 +246,13 @@ impl Tensor {
 
     /// `self (m×k) · otherᵀ` where `other` is `n×k`.
     ///
-    /// This keeps both inner loops contiguous and is the fast path for the
-    /// linear layers' backward pass and for similarity kernels.
+    /// Transposes `other` once, then runs an i-k-j loop whose inner loop
+    /// sweeps a contiguous output row, so it vectorizes across output
+    /// columns. Every output still accumulates `0.0 + a·b` over k in
+    /// sequential order with no FMA and no zero-skip, so results are
+    /// bit-identical to one scalar sequential dot per output. Serves the
+    /// linear layers' forward pass, the selection proxy forward, and the
+    /// distance kernels in [`crate::linalg`].
     ///
     /// # Panics
     ///
@@ -258,16 +263,16 @@ impl Tensor {
         let (m, k) = (self.dim(0), self.dim(1));
         let (n, k2) = (other.dim(0), other.dim(1));
         assert_eq!(k, k2, "matmul_transb inner dimensions differ: {k} vs {k2}");
+        let bt = other.transpose();
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             let a_row = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    acc += a * b;
+            let o_row = &mut out[i * n..(i + 1) * n];
+            for (p, &a) in a_row.iter().enumerate() {
+                let bt_row = &bt.data[p * n..(p + 1) * n];
+                for (o, &b) in o_row.iter_mut().zip(bt_row) {
+                    *o += a * b;
                 }
-                out[i * n + j] = acc;
             }
         }
         Tensor::from_vec(out, &[m, n])
@@ -521,6 +526,85 @@ impl Default for Tensor {
 mod tests {
     use super::*;
     use crate::rng::Rng64;
+    use proptest::prelude::*;
+
+    /// The one-sequential-dot-per-output kernel `matmul_transb` replaced,
+    /// kept as its bit-exactness oracle.
+    fn matmul_transb_oracle(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k) = (a.dim(0), a.dim(1));
+        let n = b.dim(0);
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            let a_row = &a.data[i * k..(i + 1) * k];
+            for j in 0..n {
+                let b_row = &b.data[j * k..(j + 1) * k];
+                let mut acc = 0.0f32;
+                for (&x, &y) in a_row.iter().zip(b_row.iter()) {
+                    acc += x * y;
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        Tensor::from_vec(out, &[m, n])
+    }
+
+    /// Row counts the bit-exactness properties draw from: empty, single,
+    /// pair, odd, and the production chunk size.
+    const ROWS: [usize; 6] = [0, 1, 2, 7, 33, 100];
+    /// Inner widths, including the degenerate empty one.
+    const WIDTHS: [usize; 5] = [0, 1, 3, 10, 96];
+
+    /// A `rows × width` tensor mixing the inputs that expose rounding
+    /// differences: dense normal rows, duplicates of earlier rows,
+    /// signed-zero rows, and rows of subnormal values of either sign.
+    fn tricky_rows(rows: usize, width: usize, seed: u64) -> Tensor {
+        let mut rng = Rng64::new(seed);
+        let mut data = Vec::with_capacity(rows * width);
+        for r in 0..rows {
+            match rng.index(5) {
+                0 if r > 0 => {
+                    let src = rng.index(r);
+                    data.extend_from_within(src * width..(src + 1) * width);
+                }
+                1 => data.extend((0..width).map(|_| if rng.coin(0.5) { 0.0 } else { -0.0 })),
+                2 => data.extend((0..width).map(|_| rng.uniform(-1.0, 1.0) * 1e-38)),
+                _ => data.extend((0..width).map(|_| rng.normal(0.0, 3.0))),
+            }
+        }
+        Tensor::from_vec(data, &[rows, width])
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn matmul_transb_is_bit_identical_to_sequential_dots(
+            m in 0usize..ROWS.len(),
+            n in 0usize..ROWS.len(),
+            k in 0usize..WIDTHS.len(),
+            seed in any::<u64>(),
+        ) {
+            let a = tricky_rows(ROWS[m], WIDTHS[k], seed);
+            let b = tricky_rows(ROWS[n], WIDTHS[k], seed ^ 0x9e37);
+            let fast = a.matmul_transb(&b);
+            prop_assert_eq!(fast.shape().dims(), &[ROWS[m], ROWS[n]]);
+            prop_assert_eq!(bits(&fast), bits(&matmul_transb_oracle(&a, &b)));
+            // The self-Gram is what the distance kernels build.
+            prop_assert_eq!(bits(&a.matmul_transb(&a)), bits(&matmul_transb_oracle(&a, &a)));
+        }
+    }
+
+    #[test]
+    fn matmul_transb_propagates_zero_times_inf() {
+        // Skipping zero multipliers would hide 0·inf = NaN.
+        let a = Tensor::from_vec(vec![-0.0, 0.0, 1.0, 0.0], &[2, 2]);
+        let b = Tensor::from_vec(vec![1.0, 1.0, -1.0, f32::INFINITY], &[2, 2]);
+        let fast = a.matmul_transb(&b);
+        assert_eq!(bits(&fast), bits(&matmul_transb_oracle(&a, &b)));
+        assert!(fast.as_slice()[1].is_nan());
+    }
 
     #[test]
     fn construction_basics() {
