@@ -79,26 +79,16 @@ pub struct NessaConfig {
     /// to off; see [`TelemetrySettings::from_env`] for the
     /// `NESSA_TELEMETRY` environment control.
     pub telemetry: TelemetrySettings,
-    /// Stall budget for the live health monitor: seconds without any span
-    /// closing before the pipeline counts as wedged (see
-    /// [`crate::health::HealthMonitor`]).
-    pub stall_budget_secs: f64,
     /// SmartSSDs in the simulated cluster (1 = the paper's single-drive
     /// setup; more shards the scan/select phases).
     pub drives: usize,
     /// Overlapped epoch pipelining (paper §3, Figure 3): while the GPU
     /// trains epoch *e*, the SmartSSD concurrently selects the subset for
     /// epoch *e + 1* on a worker thread, using quantized-weight feedback
-    /// that is one epoch stale (see [`Self::max_staleness`]). Off by
-    /// default: the sequential loop is the byte-identical reference.
+    /// that is one epoch stale. Off by default: the sequential schedule
+    /// is the byte-identical reference.
     pub overlap: bool,
-    /// Maximum feedback staleness (in epochs) an overlapped selection
-    /// round may use. Overlapped rounds run at staleness 1; setting this
-    /// to 0 forces every round back to the synchronous path (fresh
-    /// feedback, no concurrency). Ignored when [`Self::overlap`] is off.
-    pub max_staleness: usize,
-    /// Retry policy for failed device operations. Single-wait backoff is
-    /// additionally clamped to `stall_budget_secs` at run time.
+    /// Retry policy for failed device operations.
     pub retry: RetryPolicy,
     /// Deterministic fault schedules armed per drive before the run
     /// (`(drive index, plan)` pairs; out-of-range indexes are ignored).
@@ -136,10 +126,8 @@ impl NessaConfig {
             threads: 1,
             seed: 42,
             telemetry: TelemetrySettings::off(),
-            stall_budget_secs: 30.0,
             drives: 1,
             overlap: false,
-            max_staleness: 1,
             retry: RetryPolicy::default(),
             fault_plans: Vec::new(),
         }
@@ -150,13 +138,6 @@ impl NessaConfig {
     /// epoch stale).
     pub fn with_overlap(mut self, on: bool) -> Self {
         self.overlap = on;
-        self
-    }
-
-    /// Sets the maximum feedback staleness (in epochs) overlapped
-    /// selection rounds may use; `0` forces synchronous rounds.
-    pub fn with_max_staleness(mut self, epochs: usize) -> Self {
-        self.max_staleness = epochs;
         self
     }
 
@@ -230,17 +211,6 @@ impl NessaConfig {
         self
     }
 
-    /// Sets the health monitor's stall budget in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is not positive.
-    pub fn with_stall_budget(mut self, secs: f64) -> Self {
-        assert!(secs > 0.0, "stall budget must be positive, got {secs}");
-        self.stall_budget_secs = secs;
-        self
-    }
-
     /// Sets the number of SmartSSDs in the simulated cluster.
     ///
     /// # Panics
@@ -284,7 +254,6 @@ mod tests {
         assert_eq!(cfg.biasing_drop_every, 20);
         assert!(cfg.feedback && cfg.subset_biasing && cfg.partitioning);
         assert!(!cfg.overlap, "sequential mode is the default");
-        assert_eq!(cfg.max_staleness, 1);
     }
 
     #[test]
@@ -296,13 +265,11 @@ mod tests {
             .with_dynamic_sizing(true)
             .with_batch_size(32)
             .with_threads(0)
-            .with_stall_budget(5.0)
             .with_seed(9);
         assert!(!cfg.feedback && !cfg.subset_biasing && !cfg.partitioning);
         assert!(cfg.dynamic_sizing);
         assert_eq!(cfg.batch_size, 32);
         assert_eq!(cfg.threads, 1);
-        assert_eq!(cfg.stall_budget_secs, 5.0);
         assert_eq!(cfg.seed, 9);
     }
 
@@ -316,9 +283,8 @@ mod tests {
             })
             .with_fault_plan(0, FaultPlan::none().with_read_error(1, 2))
             .with_fault_plan(1, FaultPlan::none().with_dropout_after(3));
-        let cfg = cfg.with_overlap(true).with_max_staleness(2);
+        let cfg = cfg.with_overlap(true);
         assert!(cfg.overlap);
-        assert_eq!(cfg.max_staleness, 2);
         assert_eq!(cfg.drives, 2);
         assert_eq!(cfg.retry.max_attempts, 5);
         assert_eq!(cfg.fault_plans.len(), 2);
@@ -342,12 +308,6 @@ mod tests {
     #[should_panic(expected = "at least one drive")]
     fn rejects_zero_drives() {
         let _ = NessaConfig::new(0.5, 10).with_drives(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "stall budget")]
-    fn rejects_nonpositive_stall_budget() {
-        let _ = NessaConfig::new(0.5, 10).with_stall_budget(0.0);
     }
 
     #[test]

@@ -1,17 +1,15 @@
-//! Live pipeline health: heartbeat/stall detection and progress gauges.
+//! Live pipeline health: progress gauges and fault counters.
 //!
 //! The telemetry stream already records *what happened*; this module
-//! watches it *while it happens*. [`HealthMonitor`] rides on the span
-//! heartbeat ([`Telemetry::idle_secs`] — seconds since the last span
-//! closed) to flag a wedged pipeline, and publishes per-epoch throughput
-//! and an ETA through the ordinary metrics registry, so every sink
-//! (timeline, JSONL, in-memory snapshot) sees them with no extra plumbing:
+//! watches it *while it happens*. [`HealthMonitor`] publishes per-epoch
+//! throughput and an ETA through the ordinary metrics registry, so every
+//! sink (timeline, JSONL, in-memory snapshot) sees them with no extra
+//! plumbing:
 //!
 //! * `health.epoch_secs` — wall seconds of the most recent epoch,
 //! * `health.samples_per_sec` — training throughput of that epoch,
 //! * `health.epochs_done` — completed epochs,
-//! * `health.eta_secs` — mean epoch time × remaining epochs,
-//! * `health.stalls` — times the heartbeat exceeded the stall budget.
+//! * `health.eta_secs` — mean epoch time × remaining epochs.
 //!
 //! The monitor also owns the fault-tolerance counters the degradation
 //! ladder reports into (all registered at construction, so a fault-free
@@ -27,38 +25,13 @@
 //! plus a `health.drives_alive` gauge.
 //!
 //! On a disabled telemetry handle everything degrades to a no-op (the
-//! gauges feed unregistered metrics and [`HealthMonitor::check_stall`]
-//! reports a healthy pipeline).
+//! gauges feed unregistered metrics).
 
 use nessa_telemetry::clock::{self, Instant};
 use nessa_telemetry::{Counter, Gauge, Telemetry};
 
-/// What the stall check concluded.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum HealthStatus {
-    /// A span closed within the stall budget (or telemetry is disabled,
-    /// in which case there is no heartbeat to judge).
-    Healthy,
-    /// No span has closed for longer than the budget.
-    Stalled {
-        /// Seconds since the last span closed.
-        idle_secs: f64,
-        /// The configured budget that was exceeded.
-        budget_secs: f64,
-    },
-}
-
-impl HealthStatus {
-    /// Whether the pipeline is past its stall budget.
-    pub fn is_stalled(&self) -> bool {
-        matches!(self, HealthStatus::Stalled { .. })
-    }
-}
-
-/// Epoch-granular progress and heartbeat watcher for one run.
+/// Epoch-granular progress watcher and fault counters for one run.
 pub struct HealthMonitor {
-    telemetry: Telemetry,
-    stall_budget_secs: f64,
     total_epochs: usize,
     epochs_done: usize,
     started: Instant,
@@ -67,7 +40,6 @@ pub struct HealthMonitor {
     samples_per_sec: Gauge,
     epochs_done_gauge: Gauge,
     eta_secs: Gauge,
-    stalls: Counter,
     drives_alive: Gauge,
     faults_injected: Counter,
     retry_attempts: Counter,
@@ -78,14 +50,10 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// Creates a monitor for a run of `total_epochs` epochs with the given
-    /// stall budget (seconds without a span close before the pipeline is
-    /// considered wedged).
-    pub fn new(telemetry: &Telemetry, total_epochs: usize, stall_budget_secs: f64) -> Self {
+    /// Creates a monitor for a run of `total_epochs` epochs.
+    pub fn new(telemetry: &Telemetry, total_epochs: usize) -> Self {
         let now = clock::now();
         HealthMonitor {
-            telemetry: telemetry.clone(),
-            stall_budget_secs,
             total_epochs,
             epochs_done: 0,
             started: now,
@@ -94,7 +62,6 @@ impl HealthMonitor {
             samples_per_sec: telemetry.gauge("health.samples_per_sec"),
             epochs_done_gauge: telemetry.gauge("health.epochs_done"),
             eta_secs: telemetry.gauge("health.eta_secs"),
-            stalls: telemetry.counter("health.stalls"),
             drives_alive: telemetry.gauge("health.drives_alive"),
             faults_injected: telemetry.counter("fault.injected"),
             retry_attempts: telemetry.counter("retry.attempts"),
@@ -179,28 +146,6 @@ impl HealthMonitor {
         let mean = self.started.elapsed().as_secs_f64() / self.epochs_done as f64;
         mean * self.total_epochs.saturating_sub(self.epochs_done) as f64
     }
-
-    /// Judges the heartbeat: has any span closed within the stall budget?
-    /// Increments the `health.stalls` counter on each stalled verdict.
-    /// Meant to be polled from outside the hot loop (another thread, or
-    /// between epochs for single-threaded runs).
-    pub fn check_stall(&self) -> HealthStatus {
-        match self.telemetry.idle_secs() {
-            Some(idle) if idle > self.stall_budget_secs => {
-                self.stalls.inc();
-                HealthStatus::Stalled {
-                    idle_secs: idle,
-                    budget_secs: self.stall_budget_secs,
-                }
-            }
-            _ => HealthStatus::Healthy,
-        }
-    }
-
-    /// The configured stall budget in seconds.
-    pub fn stall_budget_secs(&self) -> f64 {
-        self.stall_budget_secs
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +156,7 @@ mod tests {
     #[test]
     fn gauges_track_epoch_progress() {
         let t = Telemetry::new(&TelemetrySettings::memory());
-        let mut m = HealthMonitor::new(&t, 4, 30.0);
+        let mut m = HealthMonitor::new(&t, 4);
         assert_eq!(m.epochs_done(), 0);
         assert!(m.eta_secs().is_none());
         let secs = m.epoch_completed(300);
@@ -228,35 +173,9 @@ mod tests {
     }
 
     #[test]
-    fn stall_detection_follows_heartbeat() {
-        let t = Telemetry::new(&TelemetrySettings::memory());
-        let m = HealthMonitor::new(&t, 1, 0.0);
-        // Zero budget: any idle time at all counts as a stall, and no span
-        // has closed yet.
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let status = m.check_stall();
-        assert!(status.is_stalled());
-        if let HealthStatus::Stalled {
-            idle_secs,
-            budget_secs,
-        } = status
-        {
-            assert!(idle_secs > 0.0);
-            assert_eq!(budget_secs, 0.0);
-        }
-        let snap = t.metrics_snapshot();
-        let counters: std::collections::BTreeMap<_, _> = snap.counters.into_iter().collect();
-        assert_eq!(counters["health.stalls"], 1);
-        // A generous budget with a fresh heartbeat reports healthy.
-        let m2 = HealthMonitor::new(&t, 1, 3600.0);
-        t.span("epoch").finish();
-        assert_eq!(m2.check_stall(), HealthStatus::Healthy);
-    }
-
-    #[test]
     fn fault_counters_register_at_zero_and_accumulate() {
         let t = Telemetry::new(&TelemetrySettings::memory());
-        let m = HealthMonitor::new(&t, 2, 30.0);
+        let m = HealthMonitor::new(&t, 2);
         let zeros: std::collections::BTreeMap<_, _> =
             t.metrics_snapshot().counters.into_iter().collect();
         for name in [
@@ -290,11 +209,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_telemetry_is_always_healthy() {
+    fn disabled_telemetry_still_counts_epochs() {
         let t = Telemetry::disabled();
-        let mut m = HealthMonitor::new(&t, 2, 0.0);
+        let mut m = HealthMonitor::new(&t, 2);
         m.epoch_completed(10);
-        assert_eq!(m.check_stall(), HealthStatus::Healthy);
         assert_eq!(m.epochs_done(), 1);
     }
 }

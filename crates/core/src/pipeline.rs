@@ -6,11 +6,14 @@
 //! evicted and the shards rebalance, a dead kernel path degrades to a
 //! staged host read + host-side selection, and if even that is out the
 //! round falls back to seeded random selection. Every rung is surfaced
-//! through the [`HealthMonitor`] fault counters.
+//! through the [`HealthMonitor`] fault counters, and `recover` is the one
+//! place a device failure becomes a [`PipelineError`].
 //!
-//! # Overlapped pipelining
+//! # One epoch loop, two schedules
 //!
-//! With [`NessaConfig::overlap`] the pipeline runs the paper's
+//! [`NessaPipeline::run`] drives every epoch through one loop. The
+//! sequential schedule (the default) selects, then trains. With
+//! [`NessaConfig::overlap`] the same loop runs the paper's
 //! double-buffered schedule: while the GPU trains epoch *e* on subset
 //! S\_e, a worker thread drives the SmartSSD through the selection round
 //! for S\_{e+1} (scan → kernel → ship) using the quantized weights fed
@@ -18,17 +21,19 @@
 //! serialize only at the epoch boundary, where the main thread joins the
 //! worker (`overlap.wait`) and broadcasts fresh feedback
 //! (`overlap.handoff`). Epoch 0 selects S\_0 synchronously (the prologue
-//! round); [`NessaConfig::max_staleness`]` == 0` pins every round back to
-//! that synchronous path.
+//! round). The schedules differ in four places only: the RNG stream a
+//! round draws from, the feedback span's name, the concurrent worker
+//! round, and whether the epoch record carries an [`OverlapRecord`].
 //!
-//! Determinism is preserved by construction: one RNG stream per epoch's
-//! round is split off the master seed before anything else draws, so the
-//! worker's randomness never races the trainer's, and the device sees
-//! the same op order (round *k* is always the *k*-th scan/select/ship)
-//! regardless of thread scheduling. Simulated time composes as
-//! `sync + max(select_side, train) + handoff` per epoch (recorded in
-//! [`OverlapRecord`]); wall-clock overlap is measured from the real
-//! concurrent span intervals by `nessa-trace`.
+//! Determinism is preserved by construction: under overlap one RNG
+//! stream per epoch's round is split off the master seed before anything
+//! else draws, so the worker's randomness never races the trainer's, and
+//! the device sees the same op order (round *k* is always the *k*-th
+//! scan/select/ship) regardless of thread scheduling. The epoch span is
+//! charged [`EpochRecord::total_secs`] — `select + io` sequentially,
+//! `sync + max(select_side, train) + handoff` overlapped — so the trace
+//! and the report cannot disagree; wall-clock overlap is measured from
+//! the real concurrent span intervals by `nessa-trace`.
 
 use crate::biasing::LossTracker;
 use crate::config::NessaConfig;
@@ -36,7 +41,6 @@ use crate::error::PipelineError;
 use crate::health::HealthMonitor;
 use crate::proxy::gradient_proxies;
 use crate::report::{EpochRecord, OverlapRecord, RunReport};
-use crate::retry::RetryPolicy;
 use crate::sizing::SubsetSizer;
 use crate::trainer::{evaluate, train_epoch_metered, TrainMetrics};
 use nessa_data::Dataset;
@@ -51,60 +55,67 @@ use nessa_smartssd::{ClusterError, DeviceError, SmartSsdConfig, SsdCluster};
 use nessa_telemetry::{DeviceEvent, Telemetry};
 use nessa_tensor::rng::Rng64;
 
-/// Runs one cluster phase under the retry policy. Offline drives are
-/// evicted on the spot (the shard layout rebalances; no retry budget is
-/// consumed — eviction is repair, not retry); transient faults charge a
-/// deterministic backoff to every surviving drive's simulated clock and
-/// try again. Anything else — and an emptied cluster — surfaces to the
-/// caller.
-fn recover<T>(
-    cluster: &mut SsdCluster,
-    retry: &RetryPolicy,
-    health: &HealthMonitor,
-    telemetry: &Telemetry,
-    epoch: usize,
-    mut op: impl FnMut(&mut SsdCluster) -> Result<T, ClusterError>,
-) -> Result<T, ClusterError> {
-    let mut attempts = 1u32;
-    loop {
-        match op(cluster) {
-            Ok(v) => return Ok(v),
-            Err(e) if matches!(e.error, DeviceError::Offline) => {
-                if cluster.evict_drive(e.drive) {
-                    health.note_drive_evicted(cluster.len());
-                }
-                if cluster.is_empty() {
-                    return Err(e);
-                }
-            }
-            Err(e) if e.error.is_transient() && attempts < retry.max_attempts.max(1) => {
-                let backoff = retry.backoff_secs(attempts - 1);
-                let mut span = telemetry
-                    .span("retry")
-                    .with_attr("epoch", epoch)
-                    .with_attr("attempt", attempts)
-                    .with_attr("drive", e.drive);
-                span.add_sim_secs(backoff);
-                cluster.stall_all(backoff);
-                health.note_retry();
-                attempts += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 /// Shared, read-only context one selection round needs besides the
 /// device and the selector network. Everything here is thread-shareable
-/// so the overlapped path can run a round on a worker thread while the
-/// main thread trains.
+/// so the overlapped schedule can run a round on a worker thread while
+/// the main thread trains.
+#[derive(Clone, Copy)]
 struct RoundCtx<'a> {
     cfg: &'a NessaConfig,
-    retry: &'a RetryPolicy,
     health: &'a HealthMonitor,
     telemetry: &'a Telemetry,
     select_metrics: &'a SelectMetrics,
     train: &'a Dataset,
+}
+
+/// Runs one cluster phase under the retry policy. Offline drives are
+/// evicted on the spot (the shard layout rebalances; no retry budget is
+/// consumed — eviction is repair, not retry); transient faults charge a
+/// deterministic backoff to every surviving drive's simulated clock and
+/// try again. Anything else surfaces as a [`PipelineError`]; an emptied
+/// cluster always surfaces as [`PipelineError::AllDrivesLost`].
+fn recover<T>(
+    ctx: &RoundCtx<'_>,
+    cluster: &mut SsdCluster,
+    epoch: usize,
+    mut op: impl FnMut(&mut SsdCluster) -> Result<T, ClusterError>,
+) -> Result<T, PipelineError> {
+    let retry = &ctx.cfg.retry;
+    let mut attempts = 1u32;
+    loop {
+        let e = match op(cluster) {
+            Ok(v) => return Ok(v),
+            Err(e) => e,
+        };
+        if matches!(e.error, DeviceError::Offline) {
+            if cluster.evict_drive(e.drive) {
+                ctx.health.note_drive_evicted(cluster.len());
+            }
+            if !cluster.is_empty() {
+                continue;
+            }
+        } else if e.error.is_transient() && attempts < retry.max_attempts.max(1) {
+            let backoff = retry.backoff_secs(attempts - 1);
+            let mut span = ctx
+                .telemetry
+                .span("retry")
+                .with_attr("epoch", epoch)
+                .with_attr("attempt", attempts)
+                .with_attr("drive", e.drive);
+            span.add_sim_secs(backoff);
+            cluster.stall_all(backoff);
+            ctx.health.note_retry();
+            attempts += 1;
+            continue;
+        }
+        return Err(if cluster.is_empty() {
+            PipelineError::AllDrivesLost {
+                evicted: cluster.evicted(),
+            }
+        } else {
+            e.into()
+        });
+    }
 }
 
 /// What one selection round produced: the chosen subset plus the
@@ -121,8 +132,8 @@ struct RoundOutcome {
 /// degradation ladder), and ship the subset to the GPU.
 ///
 /// The round draws only from `rng`; the caller decides whether that is
-/// the run's master stream (sequential mode) or the epoch's pre-split
-/// stream (overlap mode).
+/// the run's master stream (sequential schedule) or the epoch's
+/// pre-split stream (overlapped schedule).
 fn selection_round(
     ctx: &RoundCtx<'_>,
     device: &mut SsdCluster,
@@ -133,7 +144,6 @@ fn selection_round(
     rng: &mut Rng64,
 ) -> Result<RoundOutcome, PipelineError> {
     let cfg = ctx.cfg;
-    let mut select_secs = 0.0;
     let mut io_secs = 0.0;
     let record_bytes = ctx.train.bytes_per_sample() as u64;
     // Set when the P2P/kernel path is out and the pool was staged to the
@@ -147,7 +157,7 @@ fn selection_round(
             .span("scan")
             .with_attr("epoch", epoch)
             .with_attr("records", pool.len());
-        let r = recover(device, ctx.retry, ctx.health, ctx.telemetry, epoch, |c| {
+        let r = recover(ctx, device, epoch, |c| {
             c.parallel_scan(pool.len() as u64, record_bytes)
         });
         if let Ok(secs) = &r {
@@ -157,14 +167,11 @@ fn selection_round(
     };
     match scanned {
         Ok(secs) => io_secs += secs,
+        Err(e @ PipelineError::AllDrivesLost { .. }) => return Err(e),
         Err(_) => {
-            if device.is_empty() {
-                return Err(PipelineError::AllDrivesLost {
-                    evicted: device.evicted(),
-                });
-            }
             // P2P path out beyond recovery: degrade to the conventional
-            // staged read through the host.
+            // staged read through the host. If that fails too there is
+            // no path left to the data at all.
             on_host = true;
             ctx.health.note_fallback_host();
             let mut fb = ctx
@@ -172,24 +179,11 @@ fn selection_round(
                 .span("fallback")
                 .with_attr("epoch", epoch)
                 .with_attr("rung", "host");
-            match recover(device, ctx.retry, ctx.health, ctx.telemetry, epoch, |c| {
+            let secs = recover(ctx, device, epoch, |c| {
                 c.conventional_read_to_host(pool.len() as u64, record_bytes)
-            }) {
-                Ok(secs) => {
-                    fb.add_sim_secs(secs);
-                    io_secs += secs;
-                }
-                Err(e) => {
-                    // No path left to the data at all.
-                    return Err(if device.is_empty() {
-                        PipelineError::AllDrivesLost {
-                            evicted: device.evicted(),
-                        }
-                    } else {
-                        e.into()
-                    });
-                }
-            }
+            })?;
+            fb.add_sim_secs(secs);
+            io_secs += secs;
         }
     }
     // Corrupt records detected during the scan cannot join the candidate
@@ -259,21 +253,14 @@ fn selection_round(
     // seeded random picks shipped the normal way.
     let mut force_random = false;
     if !on_host {
-        match recover(device, ctx.retry, ctx.health, ctx.telemetry, epoch, |c| {
-            c.parallel_select(&profile)
-        }) {
+        match recover(ctx, device, epoch, |c| c.parallel_select(&profile)) {
             Ok(secs) => kernel_secs = secs,
-            Err(e) => {
-                if device.is_empty() {
-                    return Err(PipelineError::AllDrivesLost {
-                        evicted: device.evicted(),
-                    });
-                }
-                if !e.error.is_transient() {
-                    // A chunk that does not fit is a config problem, not
-                    // a fault to degrade around.
-                    return Err(e.into());
-                }
+            // A lost cluster ends the run, and a chunk that does not fit
+            // is a config problem, not a fault to degrade around.
+            Err(e) if !matches!(&e, PipelineError::Drive { error, .. } if error.is_transient()) => {
+                return Err(e)
+            }
+            Err(_) => {
                 // Kernel path out beyond recovery: stage the pool to the
                 // host and select there.
                 ctx.health.note_fallback_host();
@@ -282,7 +269,7 @@ fn selection_round(
                     .span("fallback")
                     .with_attr("epoch", epoch)
                     .with_attr("rung", "host");
-                match recover(device, ctx.retry, ctx.health, ctx.telemetry, epoch, |c| {
+                match recover(ctx, device, epoch, |c| {
                     c.conventional_read_to_host(pool.len() as u64, record_bytes)
                 }) {
                     Ok(secs) => {
@@ -290,14 +277,8 @@ fn selection_round(
                         fb.add_sim_secs(secs);
                         io_secs += secs;
                     }
-                    Err(_) => {
-                        if device.is_empty() {
-                            return Err(PipelineError::AllDrivesLost {
-                                evicted: device.evicted(),
-                            });
-                        }
-                        force_random = true;
-                    }
+                    Err(e @ PipelineError::AllDrivesLost { .. }) => return Err(e),
+                    Err(_) => force_random = true,
                 }
             }
         }
@@ -350,38 +331,24 @@ fn selection_round(
     select_span.add_sim_secs(kernel_secs);
     select_span.set_attr("subset", selection.len());
     select_span.finish();
-    select_secs += kernel_secs;
     // (4) Ship the subset to the GPU. When the round already staged the
     // pool to the host, the subset is there — no further transfer.
-    {
-        let mut ship = ctx
-            .telemetry
-            .span("ship")
-            .with_attr("epoch", epoch)
-            .with_attr("records", selection.len());
-        if !on_host {
-            match recover(device, ctx.retry, ctx.health, ctx.telemetry, epoch, |c| {
-                c.gather_selections(selection.len() as u64, record_bytes)
-            }) {
-                Ok(secs) => {
-                    ship.add_sim_secs(secs);
-                    io_secs += secs;
-                }
-                Err(e) => {
-                    return Err(if device.is_empty() {
-                        PipelineError::AllDrivesLost {
-                            evicted: device.evicted(),
-                        }
-                    } else {
-                        e.into()
-                    });
-                }
-            }
-        }
+    let mut ship = ctx
+        .telemetry
+        .span("ship")
+        .with_attr("epoch", epoch)
+        .with_attr("records", selection.len());
+    if !on_host {
+        let secs = recover(ctx, device, epoch, |c| {
+            c.gather_selections(selection.len() as u64, record_bytes)
+        })?;
+        ship.add_sim_secs(secs);
+        io_secs += secs;
     }
+    ship.finish();
     Ok(RoundOutcome {
         selection,
-        select_secs,
+        select_secs: kernel_secs,
         io_secs,
     })
 }
@@ -466,9 +433,10 @@ impl NessaPipeline {
 
     /// Runs the full training loop and returns the report.
     ///
-    /// Dispatches to the sequential schedule (the byte-identical
-    /// reference) or the overlapped schedule when
-    /// [`NessaConfig::overlap`] is set.
+    /// One loop serves both schedules (module docs): the sequential one
+    /// selects then trains every epoch on one thread; with
+    /// [`NessaConfig::overlap`] a worker thread selects the next epoch's
+    /// subset while this one trains.
     ///
     /// # Errors
     ///
@@ -480,20 +448,20 @@ impl NessaPipeline {
     /// drive has been evicted.
     pub fn run(&mut self) -> Result<RunReport, PipelineError> {
         self.history.clear();
-        if self.config.overlap {
-            self.run_overlapped()
-        } else {
-            self.run_sequential()
-        }
-    }
-
-    /// The paper's baseline schedule: select, then train, every epoch on
-    /// one thread. This path is the determinism reference — its RNG draw
-    /// order and its report bytes must never change.
-    fn run_sequential(&mut self) -> Result<RunReport, PipelineError> {
         let cfg = self.config.clone();
         let n = self.train.len();
-        let mut rng = Rng64::new(cfg.seed);
+        let every = cfg.select_every.max(1);
+        let mut master = Rng64::new(cfg.seed);
+        // Overlap pre-splits one selection stream per epoch *before* any
+        // other draw: the worker's randomness is fixed at run start, so
+        // the subsets it picks cannot depend on how the two threads
+        // interleave (or on the trainer's draws from the master).
+        // Sequential rounds draw from the master stream itself.
+        let mut streams: Vec<Rng64> = if cfg.overlap {
+            (0..cfg.epochs).map(|_| master.split()).collect()
+        } else {
+            Vec::new()
+        };
         let mut opt = Sgd::new(SgdConfig::default());
         let schedule = MultiStepLr::paper_schedule(cfg.epochs).with_base_lr(cfg.base_lr);
         let mut tracker = LossTracker::new(
@@ -509,6 +477,13 @@ impl NessaPipeline {
             cfg.sizing_factor,
             cfg.sizing_min_fraction.min(cfg.subset_fraction),
         );
+        let pool_of = |tracker: &LossTracker| -> Vec<usize> {
+            if cfg.subset_biasing {
+                tracker.active_pool().to_vec()
+            } else {
+                (0..n).collect()
+            }
+        };
         // Initialize the FPGA's selector with a quantized snapshot of the
         // (randomly initialized) target, as the system would at deployment.
         QuantizedModel::from_network(&mut self.target).apply_to(&mut self.selector);
@@ -520,234 +495,61 @@ impl NessaPipeline {
         };
         let select_metrics = SelectMetrics::from_telemetry(&self.telemetry);
         let train_metrics = TrainMetrics::from_telemetry(&self.telemetry);
-        let mut health = HealthMonitor::new(&self.telemetry, cfg.epochs, cfg.stall_budget_secs);
+        let mut health = HealthMonitor::new(&self.telemetry, cfg.epochs);
         health.set_drives_alive(self.device.len());
-        // Backoff stays inside the stall budget so a retrying pipeline
-        // never looks wedged to the heartbeat.
-        let retry = cfg.retry.bounded_by(cfg.stall_budget_secs);
-        let mut fraction = cfg.subset_fraction;
-        for epoch in 0..cfg.epochs {
-            let lr = schedule.lr_at(epoch);
-            let mut epoch_span = self.telemetry.span("epoch").with_attr("epoch", epoch);
-            let mut select_secs = 0.0;
-            let mut io_secs = 0.0;
-            if epoch % cfg.select_every == 0 || selection.is_empty() {
-                let pool: Vec<usize> = if cfg.subset_biasing {
-                    tracker.active_pool().to_vec()
-                } else {
-                    (0..n).collect()
-                };
-                let out = selection_round(
-                    &RoundCtx {
-                        cfg: &cfg,
-                        retry: &retry,
-                        health: &health,
-                        telemetry: &self.telemetry,
-                        select_metrics: &select_metrics,
-                        train: &self.train,
-                    },
-                    &mut self.device,
-                    &mut self.selector,
-                    epoch,
-                    pool,
-                    fraction,
-                    &mut rng,
-                )?;
-                selection = out.selection;
-                select_secs += out.select_secs;
-                io_secs += out.io_secs;
-                self.history.push((epoch, selection.indices.clone()));
-            }
-            // Train the target model on the subset.
-            let outcome = {
-                let _train_span = self
-                    .telemetry
-                    .span("train")
-                    .with_attr("epoch", epoch)
-                    .with_attr("subset", selection.len());
-                train_epoch_metered(
-                    &mut self.target,
-                    &mut opt,
-                    &self.train,
-                    &selection.indices,
-                    &selection.weights,
-                    cfg.batch_size,
-                    lr,
-                    &mut rng,
-                    Some(&train_metrics),
-                )
-            };
-            // Feedback: quantize weights, broadcast to every live drive,
-            // refresh the selector.
-            if cfg.feedback {
-                let mut feedback = self.telemetry.span("feedback").with_attr("epoch", epoch);
-                let snap = QuantizedModel::from_network(&mut self.target);
-                feedback.set_attr("bytes", snap.payload_bytes());
-                let payload = snap.payload_bytes() as u64;
-                match recover(
-                    &mut self.device,
-                    &retry,
-                    &health,
-                    &self.telemetry,
-                    epoch,
-                    |c| c.broadcast_feedback(payload),
-                ) {
-                    Ok(secs) => {
-                        feedback.add_sim_secs(secs);
-                        io_secs += secs;
-                    }
-                    Err(e) => {
-                        return Err(if self.device.is_empty() {
-                            PipelineError::AllDrivesLost {
-                                evicted: self.device.evicted(),
-                            }
-                        } else {
-                            e.into()
-                        });
-                    }
-                }
-                snap.apply_to(&mut self.selector);
-            }
-            // Subset biasing: record subset losses; prune on schedule.
-            if cfg.subset_biasing {
-                tracker.record_epoch(&selection.indices, &outcome.per_sample_losses);
-                // Selection indices may have been pruned from the pool; the
-                // next selection round re-selects from the surviving pool.
-            }
-            if cfg.dynamic_sizing {
-                fraction = sizer.observe(outcome.mean_loss);
-            }
-            let test_acc = evaluate(&mut self.target, &self.test, cfg.batch_size);
-            epoch_span.add_sim_secs(select_secs + io_secs);
-            epoch_span.set_attr("train_loss", outcome.mean_loss);
-            epoch_span.set_attr("test_acc", test_acc);
-            epoch_span.finish();
-            // Heartbeat + progress gauges: the epoch span just closed, so a
-            // healthy loop always passes the stall check here; the gauges
-            // give any observer (timeline, JSONL tail) throughput and ETA.
-            health.epoch_completed(selection.len());
-            health.check_stall();
-            report.epochs.push(EpochRecord {
-                epoch,
-                lr,
-                subset_size: selection.len(),
-                pool_size: if cfg.subset_biasing {
-                    tracker.active_pool().len()
-                } else {
-                    n
-                },
-                train_loss: outcome.mean_loss,
-                test_acc,
-                select_secs,
-                io_secs,
-                overlap: None,
-            });
-        }
-        self.finish_run(&mut report, &health);
-        Ok(report)
-    }
-
-    /// The overlapped schedule (module docs): epoch 0 selects S_0
-    /// synchronously, then every epoch *e* trains on S_e while a worker
-    /// thread selects S_{e+1} on the device with one-epoch-stale
-    /// feedback, joining at the boundary before the handoff broadcast.
-    fn run_overlapped(&mut self) -> Result<RunReport, PipelineError> {
-        let cfg = self.config.clone();
-        let n = self.train.len();
-        let mut master = Rng64::new(cfg.seed);
-        // Pre-split one selection stream per epoch *before* any other
-        // draw: the worker's randomness is fixed at run start, so the
-        // subsets it picks cannot depend on how the two threads
-        // interleave (or on the trainer's draws from the master).
-        let mut select_streams: Vec<Rng64> = (0..cfg.epochs).map(|_| master.split()).collect();
-        let mut opt = Sgd::new(SgdConfig::default());
-        let schedule = MultiStepLr::paper_schedule(cfg.epochs).with_base_lr(cfg.base_lr);
-        let mut tracker = LossTracker::new(
-            n,
-            cfg.biasing_window,
-            cfg.biasing_drop_every,
-            cfg.biasing_drop_fraction,
-            ((n as f32) * cfg.biasing_min_pool) as usize,
-        );
-        let mut sizer = SubsetSizer::new(
-            cfg.subset_fraction,
-            cfg.sizing_threshold,
-            cfg.sizing_factor,
-            cfg.sizing_min_fraction.min(cfg.subset_fraction),
-        );
-        QuantizedModel::from_network(&mut self.target).apply_to(&mut self.selector);
-        let mut selection = Selection::default();
-        let mut report = RunReport {
-            name: "nessa".into(),
-            train_size: n,
-            ..RunReport::default()
-        };
-        let select_metrics = SelectMetrics::from_telemetry(&self.telemetry);
-        let train_metrics = TrainMetrics::from_telemetry(&self.telemetry);
-        let mut health = HealthMonitor::new(&self.telemetry, cfg.epochs, cfg.stall_budget_secs);
-        health.set_drives_alive(self.device.len());
-        let retry = cfg.retry.bounded_by(cfg.stall_budget_secs);
         let mut fraction = cfg.subset_fraction;
         // Forward + backward ≈ 3× the forward cost; feeds the
         // deterministic GPU-side cost model for the overlap ledger.
         let train_flops = 3 * self.target.flops_per_sample();
         let gpu = DeviceSpec::v100();
         let loader = LoaderSpec::smartssd_p2p();
-        // The round selected concurrently during the previous epoch,
+        // The subset a worker round selected during the previous epoch,
         // waiting to be consumed.
-        let mut pending: Option<RoundOutcome> = None;
-        // Staleness (in epochs) of the feedback behind the subset
-        // currently in `selection`.
-        let mut cur_staleness = 0usize;
+        let mut pending: Option<Selection> = None;
+        // Staleness (in epochs) of the feedback behind `selection`.
+        let mut staleness = 0usize;
         for epoch in 0..cfg.epochs {
+            let ctx = RoundCtx {
+                cfg: &cfg,
+                health: &health,
+                telemetry: &self.telemetry,
+                select_metrics: &select_metrics,
+                train: &self.train,
+            };
             let lr = schedule.lr_at(epoch);
             let mut epoch_span = self.telemetry.span("epoch").with_attr("epoch", epoch);
             let mut select_secs = 0.0;
             let mut io_secs = 0.0;
             let mut orec = OverlapRecord::default();
-            if epoch % cfg.select_every == 0 || selection.is_empty() {
-                match pending.take() {
+            if epoch % every == 0 || selection.is_empty() {
+                if let Some(next) = pending.take() {
                     // Double-buffered hand-off: the subset was selected
                     // during the previous epoch (its cost is on that
                     // epoch's ledger) with feedback one epoch stale.
-                    Some(out) => {
-                        selection = out.selection;
-                        cur_staleness = 1;
-                    }
-                    // Synchronous round: the epoch-0 prologue, and every
-                    // round when max_staleness == 0 forbids pipelining.
-                    None => {
-                        let pool: Vec<usize> = if cfg.subset_biasing {
-                            tracker.active_pool().to_vec()
-                        } else {
-                            (0..n).collect()
-                        };
-                        let out = selection_round(
-                            &RoundCtx {
-                                cfg: &cfg,
-                                retry: &retry,
-                                health: &health,
-                                telemetry: &self.telemetry,
-                                select_metrics: &select_metrics,
-                                train: &self.train,
-                            },
-                            &mut self.device,
-                            &mut self.selector,
-                            epoch,
-                            pool,
-                            fraction,
-                            &mut select_streams[epoch],
-                        )?;
-                        orec.sync_secs = out.select_secs + out.io_secs;
-                        select_secs += out.select_secs;
-                        io_secs += out.io_secs;
-                        selection = out.selection;
-                        cur_staleness = 0;
-                        self.history.push((epoch, selection.indices.clone()));
-                    }
+                    selection = next;
+                    staleness = 1;
+                } else {
+                    // Synchronous round: every sequential round, and the
+                    // overlapped schedule's epoch-0 prologue.
+                    let rng = streams.get_mut(epoch).unwrap_or(&mut master);
+                    let out = selection_round(
+                        &ctx,
+                        &mut self.device,
+                        &mut self.selector,
+                        epoch,
+                        pool_of(&tracker),
+                        fraction,
+                        rng,
+                    )?;
+                    orec.sync_secs = out.select_secs + out.io_secs;
+                    select_secs += out.select_secs;
+                    io_secs += out.io_secs;
+                    selection = out.selection;
+                    staleness = 0;
+                    self.history.push((epoch, selection.indices.clone()));
                 }
             }
-            orec.staleness = cur_staleness;
+            orec.staleness = staleness;
             orec.train_secs = epoch_time(
                 &gpu,
                 &loader,
@@ -758,35 +560,24 @@ impl NessaPipeline {
                 0,
             )
             .compute_s;
+            // The worker round for the next epoch's subset. Only the
+            // overlapped schedule has pre-split streams, and none past
+            // the last epoch, so the sequential schedule never spawns.
+            // The pool and fraction are snapshotted *now* — the state
+            // left by epoch e−1 — so the concurrent round sees biasing
+            // prunes and sizing updates one epoch stale, exactly like
+            // the weights it selects with.
             let next = epoch + 1;
-            let spawn = cfg.max_staleness >= 1 && next < cfg.epochs && next % cfg.select_every == 0;
-            let outcome;
-            if spawn {
-                // Snapshot the pool and fraction *now* — the state left
-                // by epoch e−1. The concurrent round therefore sees
-                // biasing prunes and sizing updates one epoch stale,
-                // exactly like the weights it selects with.
-                let pool: Vec<usize> = if cfg.subset_biasing {
-                    tracker.active_pool().to_vec()
-                } else {
-                    (0..n).collect()
-                };
-                let frac = fraction;
-                let parent = epoch_span.id();
-                let stream = &mut select_streams[next];
-                let ctx = RoundCtx {
-                    cfg: &cfg,
-                    retry: &retry,
-                    health: &health,
-                    telemetry: &self.telemetry,
-                    select_metrics: &select_metrics,
-                    train: &self.train,
-                };
-                let device = &mut self.device;
-                let selector = &mut self.selector;
-                let target = &mut self.target;
-                let (trained, joined) = std::thread::scope(|s| {
-                    let worker = s.spawn(move || {
+            let side = streams
+                .get_mut(next)
+                .filter(|_| next % every == 0)
+                .map(|stream| (stream, pool_of(&tracker)));
+            let parent = epoch_span.id();
+            let (device, selector, target) =
+                (&mut self.device, &mut self.selector, &mut self.target);
+            let (outcome, joined) = std::thread::scope(|s| {
+                let worker = side.map(|(stream, pool)| {
+                    s.spawn(move || {
                         // Parent the wrapper to the epoch span explicitly:
                         // the worker thread has no open spans of its own,
                         // and the round's scan/select/ship spans then nest
@@ -796,67 +587,25 @@ impl NessaPipeline {
                             .span_child_of("overlap.select", parent)
                             .with_attr("epoch", epoch)
                             .with_attr("for_epoch", next);
-                        let r = selection_round(&ctx, device, selector, next, pool, frac, stream);
+                        let r =
+                            selection_round(&ctx, device, selector, next, pool, fraction, stream);
                         if let Ok(out) = &r {
                             wrap.add_sim_secs(out.select_secs + out.io_secs);
                             wrap.set_attr("subset", out.selection.len());
                         }
                         r
-                    });
-                    let trained = {
-                        let _train_span = self
-                            .telemetry
-                            .span("train")
-                            .with_attr("epoch", epoch)
-                            .with_attr("subset", selection.len());
-                        train_epoch_metered(
-                            target,
-                            &mut opt,
-                            &self.train,
-                            &selection.indices,
-                            &selection.weights,
-                            cfg.batch_size,
-                            lr,
-                            &mut master,
-                            Some(&train_metrics),
-                        )
-                    };
-                    let joined = {
-                        let _wait = self
-                            .telemetry
-                            .span("overlap.wait")
-                            .with_attr("epoch", epoch);
-                        worker.join()
-                    };
-                    (trained, joined)
+                    })
                 });
-                outcome = trained;
-                let round = match joined {
-                    Ok(r) => r,
-                    Err(_) => {
-                        Err(SelectError::Internal("overlapped selection worker panicked").into())
-                    }
-                }?;
-                orec.select_side_secs = round.select_secs + round.io_secs;
-                select_secs += round.select_secs;
-                io_secs += round.io_secs;
-                self.history.push((next, round.selection.indices.clone()));
-                // Device time hidden under concurrent training, on the
-                // simulated clock.
-                self.device
-                    .note_overlap_hidden(orec.select_side_secs.min(orec.train_secs));
-                pending = Some(round);
-            } else {
-                outcome = {
-                    let _train_span = self
+                let outcome = {
+                    let _train_span = ctx
                         .telemetry
                         .span("train")
                         .with_attr("epoch", epoch)
                         .with_attr("subset", selection.len());
                     train_epoch_metered(
-                        &mut self.target,
+                        target,
                         &mut opt,
-                        &self.train,
+                        ctx.train,
                         &selection.indices,
                         &selection.weights,
                         cfg.batch_size,
@@ -865,44 +614,50 @@ impl NessaPipeline {
                         Some(&train_metrics),
                     )
                 };
+                let joined = worker.map(|w| {
+                    let _wait = ctx.telemetry.span("overlap.wait").with_attr("epoch", epoch);
+                    w.join()
+                });
+                (outcome, joined)
+            });
+            if let Some(joined) = joined {
+                let round = joined.unwrap_or_else(|_| {
+                    Err(SelectError::Internal("overlapped selection worker panicked").into())
+                })?;
+                orec.select_side_secs = round.select_secs + round.io_secs;
+                select_secs += round.select_secs;
+                io_secs += round.io_secs;
+                self.history.push((next, round.selection.indices.clone()));
+                // Device time hidden under concurrent training, on the
+                // simulated clock.
+                self.device
+                    .note_overlap_hidden(orec.select_side_secs.min(orec.train_secs));
+                pending = Some(round.selection);
             }
-            // The deterministic hand-off: quantize this epoch's weights,
-            // broadcast to every live drive (the device is idle again —
-            // the worker joined above), refresh the selector for the
-            // round that spawns next epoch.
+            // Feedback: quantize this epoch's weights, broadcast to every
+            // live drive (under overlap the worker joined above, so the
+            // device is idle again), refresh the selector for the next
+            // round. Under overlap this is the serializing hand-off.
             if cfg.feedback {
-                let mut handoff = self
-                    .telemetry
-                    .span("overlap.handoff")
-                    .with_attr("epoch", epoch);
-                let snap = QuantizedModel::from_network(&mut self.target);
-                handoff.set_attr("bytes", snap.payload_bytes());
-                let payload = snap.payload_bytes() as u64;
-                match recover(
-                    &mut self.device,
-                    &retry,
-                    &health,
-                    &self.telemetry,
-                    epoch,
-                    |c| c.broadcast_feedback(payload),
-                ) {
-                    Ok(secs) => {
-                        handoff.add_sim_secs(secs);
-                        io_secs += secs;
-                        orec.handoff_secs = secs;
-                    }
-                    Err(e) => {
-                        return Err(if self.device.is_empty() {
-                            PipelineError::AllDrivesLost {
-                                evicted: self.device.evicted(),
-                            }
-                        } else {
-                            e.into()
-                        });
-                    }
+                let mut feedback = if cfg.overlap {
+                    ctx.telemetry.span("overlap.handoff")
+                } else {
+                    ctx.telemetry.span("feedback")
                 }
+                .with_attr("epoch", epoch);
+                let snap = QuantizedModel::from_network(&mut self.target);
+                feedback.set_attr("bytes", snap.payload_bytes());
+                let payload = snap.payload_bytes() as u64;
+                let secs = recover(&ctx, &mut self.device, epoch, |c| {
+                    c.broadcast_feedback(payload)
+                })?;
+                feedback.add_sim_secs(secs);
+                io_secs += secs;
+                orec.handoff_secs = secs;
                 snap.apply_to(&mut self.selector);
             }
+            // Subset biasing: record subset losses; prune on schedule (the
+            // next round re-selects from the surviving pool).
             if cfg.subset_biasing {
                 tracker.record_epoch(&selection.indices, &outcome.per_sample_losses);
             }
@@ -910,18 +665,7 @@ impl NessaPipeline {
                 fraction = sizer.observe(outcome.mean_loss);
             }
             let test_acc = evaluate(&mut self.target, &self.test, cfg.batch_size);
-            // Simulated epoch cost under overlap: the synchronous
-            // prologue, then the slower of the two concurrent sides,
-            // then the serializing hand-off.
-            epoch_span.add_sim_secs(
-                orec.sync_secs + orec.select_side_secs.max(orec.train_secs) + orec.handoff_secs,
-            );
-            epoch_span.set_attr("train_loss", outcome.mean_loss);
-            epoch_span.set_attr("test_acc", test_acc);
-            epoch_span.finish();
-            health.epoch_completed(selection.len());
-            health.check_stall();
-            report.epochs.push(EpochRecord {
+            let record = EpochRecord {
                 epoch,
                 lr,
                 subset_size: selection.len(),
@@ -934,14 +678,20 @@ impl NessaPipeline {
                 test_acc,
                 select_secs,
                 io_secs,
-                overlap: Some(orec),
-            });
+                overlap: cfg.overlap.then_some(orec),
+            };
+            epoch_span.add_sim_secs(record.total_secs());
+            epoch_span.set_attr("train_loss", outcome.mean_loss);
+            epoch_span.set_attr("test_acc", test_acc);
+            epoch_span.finish();
+            health.epoch_completed(selection.len());
+            report.epochs.push(record);
         }
         self.finish_run(&mut report, &health);
         Ok(report)
     }
 
-    /// Shared run epilogue: traffic/energy roll-ups, fault totals, and
+    /// Run epilogue: traffic/energy roll-ups, fault totals, and
     /// the device-trace bridge into the unified telemetry stream.
     fn finish_run(&mut self, report: &mut RunReport, health: &HealthMonitor) {
         report.traffic = self.device.traffic();
@@ -1121,10 +871,6 @@ mod tests {
         assert!(gauges["health.samples_per_sec"] > 0.0);
         // The run is over: nothing remains, so the ETA gauge reads zero.
         assert_eq!(gauges["health.eta_secs"], 0.0);
-        // The loop closes a span every epoch, so the default 30 s budget
-        // never trips.
-        let counters: std::collections::BTreeMap<_, _> = snap.counters.into_iter().collect();
-        assert_eq!(counters["health.stalls"], 0);
     }
 
     #[test]
@@ -1174,24 +920,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_staleness_pins_synchronous_rounds() {
-        let cfg = NessaConfig::new(0.3, 4)
-            .with_batch_size(32)
-            .with_seed(11)
-            .with_overlap(true)
-            .with_max_staleness(0);
-        let mut p = small_setup(&cfg);
-        let report = p.run().unwrap();
-        for rec in &report.epochs {
-            let o = rec.overlap.as_ref().unwrap();
-            assert_eq!(o.staleness, 0, "epoch {}", rec.epoch);
-            assert!(o.sync_secs > 0.0, "epoch {}", rec.epoch);
-            assert_eq!(o.select_side_secs, 0.0, "epoch {}", rec.epoch);
-        }
-        assert_eq!(p.device().hidden_secs(), 0.0);
-    }
-
-    #[test]
     fn overlap_hides_device_seconds() {
         let cfg = NessaConfig::new(0.3, 5)
             .with_batch_size(32)
@@ -1228,6 +956,23 @@ mod tests {
         q.run().unwrap();
         let epochs: Vec<usize> = q.selection_history().iter().map(|(e, _)| *e).collect();
         assert_eq!(epochs, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn select_every_zero_means_every_epoch() {
+        // The public field is not validated; 0 must clamp to 1 instead of
+        // dividing by zero, in both schedules.
+        for overlap in [false, true] {
+            let cfg = NessaConfig::new(0.3, 4)
+                .with_batch_size(32)
+                .with_seed(14)
+                .with_overlap(overlap);
+            let mut zero = cfg.clone();
+            zero.select_every = 0;
+            let a = small_setup(&zero).run().unwrap();
+            let b = small_setup(&cfg).run().unwrap();
+            assert_eq!(a.to_jsonl(), b.to_jsonl(), "overlap {overlap}");
+        }
     }
 
     #[test]

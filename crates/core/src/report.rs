@@ -16,8 +16,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct OverlapRecord {
     /// Selection seconds paid synchronously *before* training could start
-    /// (the epoch-0 prologue round, or a round forced synchronous by
-    /// `max_staleness = 0`).
+    /// (the epoch-0 prologue round).
     pub sync_secs: f64,
     /// Device seconds of the selection round overlapped with this epoch's
     /// training (scan + kernel + subset shipment for epoch *e + 1*).
@@ -53,14 +52,14 @@ pub struct EpochRecord {
     /// Simulated seconds of data movement this epoch (flash reads, subset
     /// transfer, feedback).
     pub io_secs: f64,
-    /// Overlapped-pipelining bookkeeping; `None` for the sequential loop
+    /// Overlapped-pipelining bookkeeping; `None` for the sequential schedule
     /// (keeping its JSONL byte-identical to earlier releases).
     pub overlap: Option<OverlapRecord>,
 }
 
 impl EpochRecord {
     /// Total simulated seconds for the epoch: selection + I/O for the
-    /// sequential loop, `sync + max(select_side, train) + handoff` when
+    /// sequential schedule, `sync + max(select_side, train) + handoff` when
     /// the epoch ran overlapped.
     pub fn total_secs(&self) -> f64 {
         match &self.overlap {

@@ -32,7 +32,6 @@ pub const REGISTERED_PHASES: &[&str] = &[
 /// with `nessa_telemetry::phase::REGISTERED_COUNTERS` (the same
 /// cross-crate test asserts equality).
 pub const REGISTERED_COUNTERS: &[&str] = &[
-    "health.stalls",
     "train.batches",
     "train.samples",
     "fault.injected",

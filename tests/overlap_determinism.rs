@@ -134,36 +134,3 @@ fn overlapped_selection_diverges_once_feedback_is_live() {
         assert_eq!(o.staleness, expect, "epoch {}", rec.epoch);
     }
 }
-
-#[test]
-fn zero_max_staleness_restores_sequential_selection() {
-    // max_staleness == 0 forces every round back to the synchronous
-    // path. With feedback frozen (the trainer's shuffle stream differs
-    // between the two modes, so live feedback would diverge through the
-    // trained weights) the schedule must select exactly like the
-    // sequential reference, and the ledger must report staleness 0
-    // everywhere.
-    let cfg = baseline_cfg()
-        .with_feedback(false)
-        .with_subset_biasing(false)
-        .with_partitioning(false);
-    let mut seq = baseline_pipeline(&cfg);
-    seq.run().unwrap();
-    let mut sync = baseline_pipeline(&cfg.clone().with_overlap(true).with_max_staleness(0));
-    let report = sync.run().unwrap();
-    assert_eq!(
-        seq.selection_history(),
-        sync.selection_history(),
-        "staleness 0 must select exactly like the sequential schedule"
-    );
-    for rec in &report.epochs {
-        let o = rec.overlap.as_ref().expect("overlap mode records a ledger");
-        assert_eq!(o.staleness, 0, "epoch {}", rec.epoch);
-        assert!(
-            o.sync_secs > 0.0,
-            "epoch {} must select synchronously",
-            rec.epoch
-        );
-        assert_eq!(o.select_side_secs, 0.0, "epoch {}", rec.epoch);
-    }
-}
