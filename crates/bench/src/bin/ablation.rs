@@ -67,10 +67,8 @@ fn main() {
     for chunk in [16usize, 32, 64, 128, usize::MAX] {
         let mut rng = Rng64::new(SEED);
         let opts = CraigOptions {
-            variant: GreedyVariant::Lazy,
             partition_chunk: (chunk != usize::MAX).then_some(chunk),
-            threads: 1,
-            metrics: None,
+            ..CraigOptions::default()
         };
         let sel = select_per_class(&feats, &labels, 1, fraction, &opts, &mut rng)
             .expect("selection failed");

@@ -29,7 +29,7 @@ use nessa_core::{NessaConfig, NessaPipeline, RunReport};
 use nessa_data::SynthConfig;
 use nessa_nn::models::mlp;
 use nessa_smartssd::FaultPlan;
-use nessa_telemetry::{extract_num_field, extract_str_field, TelemetryMode, TelemetrySettings};
+use nessa_telemetry::{JsonValue, TelemetryMode, TelemetrySettings};
 use nessa_tensor::rng::Rng64;
 use nessa_trace::{RunTrace, TraceReport};
 use std::fs;
@@ -54,10 +54,16 @@ fn main() {
         eprintln!("profile: --chaos and --overlap are separate scenarios; pick one");
         std::process::exit(2);
     }
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .map(|pos| args.get(pos + 1).expect("--out needs a path").clone());
+    let out = args.iter().position(|a| a == "--out").map(|pos| {
+        match args.get(pos + 1).filter(|p| !p.starts_with("--")) {
+            Some(path) => path.clone(),
+            None => {
+                eprintln!("profile: --out needs a path");
+                eprintln!("usage: profile [--chaos | --overlap] [--out <path>]");
+                std::process::exit(2);
+            }
+        }
+    });
     let mut settings = TelemetrySettings::from_env();
     if let Some(path) = out {
         settings = TelemetrySettings::jsonl(path);
@@ -293,17 +299,11 @@ fn profile_overlap(settings: TelemetrySettings) {
 /// pipelined round is wrapped in `overlap.select`, and the epoch spans'
 /// simulated seconds reproduce the report's critical-path composition.
 fn verify_overlap_artifact(text: &str, report: &RunReport) {
-    let span_lines: Vec<&str> = text
-        .lines()
-        .filter(|l| extract_str_field(l, "type").as_deref() == Some("span"))
-        .collect();
-    let count = |name: &str, field: &str, value: f64| {
-        span_lines
+    let spans = span_values(text);
+    let count = |name: &str, attr: &str, value: f64| {
+        spans
             .iter()
-            .filter(|l| {
-                extract_str_field(l, "name").as_deref() == Some(name)
-                    && extract_num_field(l, field) == Some(value)
-            })
+            .filter(|s| span_matches(s, name, attr, value))
             .count()
     };
     for rec in &report.epochs {
@@ -327,14 +327,14 @@ fn verify_overlap_artifact(text: &str, report: &RunReport) {
                 rec.epoch
             );
         }
-        let epoch_span = span_lines
+        let epoch_span = spans
             .iter()
-            .find(|l| {
-                extract_str_field(l, "name").as_deref() == Some("epoch")
-                    && extract_num_field(l, "epoch") == Some(e)
-            })
+            .find(|s| span_matches(s, "epoch", "epoch", e))
             .unwrap_or_else(|| panic!("epoch {} span missing", rec.epoch));
-        let sim = extract_num_field(epoch_span, "sim_s").expect("epoch span has sim_s");
+        let sim = epoch_span
+            .get("sim_s")
+            .and_then(JsonValue::as_f64)
+            .expect("epoch span has sim_s");
         let expected = rec.total_secs();
         assert!(
             (sim - expected).abs() < 1e-9,
@@ -354,19 +354,13 @@ fn verify_artifact(text: &str, report: &RunReport) {
             "malformed JSONL line: {line}"
         );
     }
-    let span_lines: Vec<&str> = text
-        .lines()
-        .filter(|l| extract_str_field(l, "type").as_deref() == Some("span"))
-        .collect();
+    let spans = span_values(text);
     for epoch in &report.epochs {
         let mut sim_total = 0.0;
         for phase in PHASES {
-            let phase_spans: Vec<&&str> = span_lines
+            let phase_spans: Vec<&JsonValue> = spans
                 .iter()
-                .filter(|l| {
-                    extract_str_field(l, "name").as_deref() == Some(phase)
-                        && extract_num_field(l, "epoch") == Some(epoch.epoch as f64)
-                })
+                .filter(|s| span_matches(s, phase, "epoch", epoch.epoch as f64))
                 .collect();
             assert_eq!(
                 phase_spans.len(),
@@ -375,7 +369,9 @@ fn verify_artifact(text: &str, report: &RunReport) {
                 epoch.epoch,
                 phase_spans.len()
             );
-            sim_total += extract_num_field(phase_spans[0], "sim_s")
+            sim_total += phase_spans[0]
+                .get("sim_s")
+                .and_then(JsonValue::as_f64)
                 .unwrap_or_else(|| panic!("{phase} span missing sim_s"));
         }
         let expected = epoch.total_secs();
@@ -385,4 +381,24 @@ fn verify_artifact(text: &str, report: &RunReport) {
             epoch.epoch
         );
     }
+}
+
+/// The artifact's span lines, parsed (lines that do not parse are
+/// skipped here; `verify_artifact` rejects them separately).
+fn span_values(text: &str) -> Vec<JsonValue> {
+    text.lines()
+        .filter_map(|l| JsonValue::parse(l).ok())
+        .filter(|v| v.get("type").and_then(JsonValue::as_str) == Some("span"))
+        .collect()
+}
+
+/// Whether `span` is named `name` and carries the numeric attribute
+/// `attr == value`.
+fn span_matches(span: &JsonValue, name: &str, attr: &str, value: f64) -> bool {
+    span.get("name").and_then(JsonValue::as_str) == Some(name)
+        && span
+            .get("attrs")
+            .and_then(|a| a.get(attr))
+            .and_then(JsonValue::as_f64)
+            == Some(value)
 }

@@ -1,7 +1,8 @@
 //! Future-work extension (paper §5: "scaling over multiple SmartSSDs and
 //! GPUs"): how NeSSA's near-storage phases scale when the dataset is
-//! sharded across a fleet of drives, using the GreeDi two-round selection
-//! of `nessa-select`.
+//! sharded across a fleet of drives. Each drive is charged scan and
+//! kernel time for its shard; the selection itself runs once, centrally,
+//! over the whole pool.
 //!
 //! Regenerate with `cargo run --release -p nessa-bench --bin scaling`.
 //! Pass `--json` to emit one JSON object per drive count instead of the
@@ -52,8 +53,7 @@ fn main() {
             k_per_chunk: 128,
         };
         let select = cluster.parallel_select(&profile).expect("chunk fits");
-        // GreeDi round 1→2: each drive ships its local picks (its share of
-        // the subset), the merged set then goes to the GPU.
+        // Each drive ships its share of the selected subset to the GPU.
         let gather = cluster
             .gather_selections(subset, w.bytes_per_sample)
             .expect("fault-free cluster");

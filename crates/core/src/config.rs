@@ -1,6 +1,5 @@
 //! Pipeline configuration.
 
-use crate::retry::RetryPolicy;
 use nessa_select::facility::GreedyVariant;
 use nessa_smartssd::FaultPlan;
 use nessa_telemetry::TelemetrySettings;
@@ -9,9 +8,11 @@ use nessa_telemetry::TelemetrySettings;
 ///
 /// Defaults encode the paper's hyper-parameters (§4.1: batch 128, LR 0.1
 /// ÷5 at 60/120/160 of 200 epochs, weight decay 5e-4, Nesterov 0.9) and
-/// optimization settings (§3.2: 5-epoch loss window, drop every 20
-/// epochs). Construct with [`NessaConfig::new`] and override fields with
-/// the builder methods.
+/// optimization settings (§3.2: drop every 20 epochs). Construct with
+/// [`NessaConfig::new`] and override fields with the builder methods.
+/// The 5-epoch loss window, the 40 % pool floor and the medoid-weight
+/// exponent 0.5 are constants in [`crate::pipeline`], and device retries
+/// follow [`RetryPolicy::default`](crate::RetryPolicy).
 ///
 /// ```
 /// use nessa_core::NessaConfig;
@@ -36,21 +37,15 @@ pub struct NessaConfig {
     /// fixed). Models far from the paper's ResNet scale may need a
     /// smaller starting point.
     pub base_lr: f32,
-    /// Re-select the subset every this many epochs (1 = every epoch).
-    pub select_every: usize,
     /// Quantized-weight feedback (§3.2.1). When off, the selector model
     /// keeps its initial weights (no feedback loop).
     pub feedback: bool,
     /// Subset biasing (§3.2.2): drop learned samples from the pool.
     pub subset_biasing: bool,
-    /// Loss-history window for biasing (paper: most recent 5 epochs).
-    pub biasing_window: usize,
     /// Drop marked samples every this many epochs (paper: 20).
     pub biasing_drop_every: usize,
     /// Fraction of the pool dropped at each biasing step.
     pub biasing_drop_fraction: f32,
-    /// Never shrink the pool below this fraction of the original set.
-    pub biasing_min_pool: f32,
     /// Dataset partitioning (§3.2.3): chunk classes so similarity tiles
     /// fit the FPGA's on-chip memory.
     pub partitioning: bool,
@@ -63,16 +58,8 @@ pub struct NessaConfig {
     pub sizing_factor: f32,
     /// Floor for the subset fraction under dynamic sizing.
     pub sizing_min_fraction: f32,
-    /// Exponent applied to the CRAIG medoid weights before training
-    /// (`w ← w^γ`). `1.0` uses raw cluster sizes as in CRAIG; smaller
-    /// values temper the extreme weight concentration that destabilizes
-    /// SGD on small subsets of highly-redundant data. NeSSA defaults to
-    /// `0.5`; the ablation bench sweeps this.
-    pub weight_temper: f32,
     /// Greedy maximizer used on the (simulated) FPGA.
     pub greedy: GreedyVariant,
-    /// Worker threads for per-class selection.
-    pub threads: usize,
     /// Master seed.
     pub seed: u64,
     /// Telemetry collection for the run (spans, metrics, sinks). Defaults
@@ -88,8 +75,6 @@ pub struct NessaConfig {
     /// that is one epoch stale. Off by default: the sequential schedule
     /// is the byte-identical reference.
     pub overlap: bool,
-    /// Retry policy for failed device operations.
-    pub retry: RetryPolicy,
     /// Deterministic fault schedules armed per drive before the run
     /// (`(drive index, plan)` pairs; out-of-range indexes are ignored).
     pub fault_plans: Vec<(usize, FaultPlan)>,
@@ -109,26 +94,20 @@ impl NessaConfig {
             epochs,
             batch_size: 128,
             base_lr: 0.1,
-            select_every: 1,
             feedback: true,
             subset_biasing: true,
-            biasing_window: 5,
             biasing_drop_every: 20,
             biasing_drop_fraction: 0.1,
-            biasing_min_pool: 0.4,
             partitioning: true,
             dynamic_sizing: false,
             sizing_threshold: 0.01,
             sizing_factor: 0.9,
             sizing_min_fraction: 0.05,
-            weight_temper: 0.5,
             greedy: GreedyVariant::Lazy,
-            threads: 1,
             seed: 42,
             telemetry: TelemetrySettings::off(),
             drives: 1,
             overlap: false,
-            retry: RetryPolicy::default(),
             fault_plans: Vec::new(),
         }
     }
@@ -199,12 +178,6 @@ impl NessaConfig {
         self
     }
 
-    /// Sets the per-class selection thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Sets the telemetry configuration for the run.
     pub fn with_telemetry(mut self, telemetry: TelemetrySettings) -> Self {
         self.telemetry = telemetry;
@@ -219,12 +192,6 @@ impl NessaConfig {
     pub fn with_drives(mut self, drives: usize) -> Self {
         assert!(drives > 0, "a cluster needs at least one drive");
         self.drives = drives;
-        self
-    }
-
-    /// Sets the retry policy for failed device operations.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -250,7 +217,6 @@ mod tests {
     fn defaults_match_paper() {
         let cfg = NessaConfig::new(0.3, 200);
         assert_eq!(cfg.batch_size, 128);
-        assert_eq!(cfg.biasing_window, 5);
         assert_eq!(cfg.biasing_drop_every, 20);
         assert!(cfg.feedback && cfg.subset_biasing && cfg.partitioning);
         assert!(!cfg.overlap, "sequential mode is the default");
@@ -264,12 +230,10 @@ mod tests {
             .with_partitioning(false)
             .with_dynamic_sizing(true)
             .with_batch_size(32)
-            .with_threads(0)
             .with_seed(9);
         assert!(!cfg.feedback && !cfg.subset_biasing && !cfg.partitioning);
         assert!(cfg.dynamic_sizing);
         assert_eq!(cfg.batch_size, 32);
-        assert_eq!(cfg.threads, 1);
         assert_eq!(cfg.seed, 9);
     }
 
@@ -277,16 +241,11 @@ mod tests {
     fn fault_builders_accumulate() {
         let cfg = NessaConfig::new(0.3, 10)
             .with_drives(2)
-            .with_retry(RetryPolicy {
-                max_attempts: 5,
-                ..RetryPolicy::default()
-            })
             .with_fault_plan(0, FaultPlan::none().with_read_error(1, 2))
             .with_fault_plan(1, FaultPlan::none().with_dropout_after(3));
         let cfg = cfg.with_overlap(true);
         assert!(cfg.overlap);
         assert_eq!(cfg.drives, 2);
-        assert_eq!(cfg.retry.max_attempts, 5);
         assert_eq!(cfg.fault_plans.len(), 2);
     }
 

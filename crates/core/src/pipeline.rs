@@ -41,6 +41,7 @@ use crate::error::PipelineError;
 use crate::health::HealthMonitor;
 use crate::proxy::gradient_proxies;
 use crate::report::{EpochRecord, OverlapRecord, RunReport};
+use crate::retry::RetryPolicy;
 use crate::sizing::SubsetSizer;
 use crate::trainer::{evaluate, train_epoch_metered, TrainMetrics};
 use nessa_data::Dataset;
@@ -54,6 +55,20 @@ use nessa_smartssd::fpga::KernelProfile;
 use nessa_smartssd::{ClusterError, DeviceError, SmartSsdConfig, SsdCluster};
 use nessa_telemetry::{DeviceEvent, Telemetry};
 use nessa_tensor::rng::Rng64;
+
+/// Loss-history window for subset biasing (paper §3.2.2: the most recent
+/// five epochs).
+const LOSS_WINDOW: usize = 5;
+
+/// Subset biasing never shrinks the pool below this fraction of the
+/// training set.
+const MIN_POOL_FRACTION: f32 = 0.4;
+
+/// Exponent applied to the CRAIG medoid weights before training
+/// (`w ← w^γ`). Raw cluster sizes (`γ = 1`) concentrate the weight on a
+/// few medoids, which destabilizes SGD on small subsets of
+/// highly-redundant data; `γ = 0.5` tempers that.
+const MEDOID_WEIGHT_EXPONENT: f32 = 0.5;
 
 /// Shared, read-only context one selection round needs besides the
 /// device and the selector network. Everything here is thread-shareable
@@ -80,7 +95,7 @@ fn recover<T>(
     epoch: usize,
     mut op: impl FnMut(&mut SsdCluster) -> Result<T, ClusterError>,
 ) -> Result<T, PipelineError> {
-    let retry = &ctx.cfg.retry;
+    let retry = RetryPolicy::default();
     let mut attempts = 1u32;
     loop {
         let e = match op(cluster) {
@@ -94,7 +109,7 @@ fn recover<T>(
             if !cluster.is_empty() {
                 continue;
             }
-        } else if e.error.is_transient() && attempts < retry.max_attempts.max(1) {
+        } else if e.error.is_transient() && attempts < retry.max_attempts {
             let backoff = retry.backoff_secs(attempts - 1);
             let mut span = ctx
                 .telemetry
@@ -221,7 +236,6 @@ fn selection_round(
     let opts = CraigOptions {
         variant: cfg.greedy,
         partition_chunk: chunk,
-        threads: cfg.threads,
         metrics: Some(ctx.select_metrics.clone()),
     };
     // Charge the kernel's simulated time.
@@ -308,9 +322,8 @@ fn selection_round(
     };
     let local = match maybe {
         Some(mut local) => {
-            // Temper the medoid weights (see NessaConfig::weight_temper).
             for w in &mut local.weights {
-                *w = w.powf(cfg.weight_temper);
+                *w = w.powf(MEDOID_WEIGHT_EXPONENT);
             }
             local
         }
@@ -450,7 +463,6 @@ impl NessaPipeline {
         self.history.clear();
         let cfg = self.config.clone();
         let n = self.train.len();
-        let every = cfg.select_every.max(1);
         let mut master = Rng64::new(cfg.seed);
         // Overlap pre-splits one selection stream per epoch *before* any
         // other draw: the worker's randomness is fixed at run start, so
@@ -466,10 +478,10 @@ impl NessaPipeline {
         let schedule = MultiStepLr::paper_schedule(cfg.epochs).with_base_lr(cfg.base_lr);
         let mut tracker = LossTracker::new(
             n,
-            cfg.biasing_window,
+            LOSS_WINDOW,
             cfg.biasing_drop_every,
             cfg.biasing_drop_fraction,
-            ((n as f32) * cfg.biasing_min_pool) as usize,
+            ((n as f32) * MIN_POOL_FRACTION) as usize,
         );
         let mut sizer = SubsetSizer::new(
             cfg.subset_fraction,
@@ -487,7 +499,6 @@ impl NessaPipeline {
         // Initialize the FPGA's selector with a quantized snapshot of the
         // (randomly initialized) target, as the system would at deployment.
         QuantizedModel::from_network(&mut self.target).apply_to(&mut self.selector);
-        let mut selection = Selection::default();
         let mut report = RunReport {
             name: "nessa".into(),
             train_size: n,
@@ -506,8 +517,6 @@ impl NessaPipeline {
         // The subset a worker round selected during the previous epoch,
         // waiting to be consumed.
         let mut pending: Option<Selection> = None;
-        // Staleness (in epochs) of the feedback behind `selection`.
-        let mut staleness = 0usize;
         for epoch in 0..cfg.epochs {
             let ctx = RoundCtx {
                 cfg: &cfg,
@@ -521,35 +530,31 @@ impl NessaPipeline {
             let mut select_secs = 0.0;
             let mut io_secs = 0.0;
             let mut orec = OverlapRecord::default();
-            if epoch % every == 0 || selection.is_empty() {
-                if let Some(next) = pending.take() {
-                    // Double-buffered hand-off: the subset was selected
-                    // during the previous epoch (its cost is on that
-                    // epoch's ledger) with feedback one epoch stale.
-                    selection = next;
-                    staleness = 1;
-                } else {
-                    // Synchronous round: every sequential round, and the
-                    // overlapped schedule's epoch-0 prologue.
-                    let rng = streams.get_mut(epoch).unwrap_or(&mut master);
-                    let out = selection_round(
-                        &ctx,
-                        &mut self.device,
-                        &mut self.selector,
-                        epoch,
-                        pool_of(&tracker),
-                        fraction,
-                        rng,
-                    )?;
-                    orec.sync_secs = out.select_secs + out.io_secs;
-                    select_secs += out.select_secs;
-                    io_secs += out.io_secs;
-                    selection = out.selection;
-                    staleness = 0;
-                    self.history.push((epoch, selection.indices.clone()));
-                }
-            }
-            orec.staleness = staleness;
+            let selection = if let Some(next) = pending.take() {
+                // Double-buffered hand-off: the subset was selected
+                // during the previous epoch (its cost is on that
+                // epoch's ledger) with feedback one epoch stale.
+                orec.staleness = 1;
+                next
+            } else {
+                // Synchronous round: every sequential round, and the
+                // overlapped schedule's epoch-0 prologue.
+                let rng = streams.get_mut(epoch).unwrap_or(&mut master);
+                let out = selection_round(
+                    &ctx,
+                    &mut self.device,
+                    &mut self.selector,
+                    epoch,
+                    pool_of(&tracker),
+                    fraction,
+                    rng,
+                )?;
+                orec.sync_secs = out.select_secs + out.io_secs;
+                select_secs += out.select_secs;
+                io_secs += out.io_secs;
+                self.history.push((epoch, out.selection.indices.clone()));
+                out.selection
+            };
             orec.train_secs = epoch_time(
                 &gpu,
                 &loader,
@@ -570,7 +575,6 @@ impl NessaPipeline {
             let next = epoch + 1;
             let side = streams
                 .get_mut(next)
-                .filter(|_| next % every == 0)
                 .map(|stream| (stream, pool_of(&tracker)));
             let parent = epoch_span.id();
             let (device, selector, target) =
@@ -757,8 +761,7 @@ impl NessaPipeline {
 
     /// Every selection round the last [`run`] performed, in round order:
     /// `(epoch the subset is first used for, selected global indices)`.
-    /// Epochs that reuse the previous subset (`select_every > 1`) do not
-    /// appear. Lets tests compare overlapped and sequential schedules
+    /// Lets tests compare overlapped and sequential schedules
     /// subset-by-subset.
     ///
     /// [`run`]: NessaPipeline::run
@@ -956,23 +959,6 @@ mod tests {
         q.run().unwrap();
         let epochs: Vec<usize> = q.selection_history().iter().map(|(e, _)| *e).collect();
         assert_eq!(epochs, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn select_every_zero_means_every_epoch() {
-        // The public field is not validated; 0 must clamp to 1 instead of
-        // dividing by zero, in both schedules.
-        for overlap in [false, true] {
-            let cfg = NessaConfig::new(0.3, 4)
-                .with_batch_size(32)
-                .with_seed(14)
-                .with_overlap(overlap);
-            let mut zero = cfg.clone();
-            zero.select_every = 0;
-            let a = small_setup(&zero).run().unwrap();
-            let b = small_setup(&cfg).run().unwrap();
-            assert_eq!(a.to_jsonl(), b.to_jsonl(), "overlap {overlap}");
-        }
     }
 
     #[test]

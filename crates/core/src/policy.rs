@@ -11,7 +11,6 @@ use nessa_data::Dataset;
 use nessa_nn::models::Network;
 use nessa_nn::optim::{MultiStepLr, Sgd, SgdConfig};
 use nessa_select::craig::{select_per_class_factored, CraigOptions};
-use nessa_select::facility::GreedyVariant;
 use nessa_select::{kcenters, random, Selection};
 use nessa_tensor::rng::Rng64;
 
@@ -130,12 +129,7 @@ fn run_cpu_policy(
                     train.labels(),
                     train.classes(),
                     *fraction,
-                    &CraigOptions {
-                        variant: GreedyVariant::Lazy,
-                        partition_chunk: None,
-                        threads: 1,
-                        metrics: None,
-                    },
+                    &CraigOptions::default(),
                     &mut rng,
                 )?
             }

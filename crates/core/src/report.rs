@@ -299,23 +299,24 @@ mod tests {
 
     #[test]
     fn jsonl_has_epoch_and_run_lines() {
-        use nessa_telemetry::{extract_num_field, extract_str_field};
+        use nessa_telemetry::JsonValue;
         let jsonl = sample_report().to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3);
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
-        assert_eq!(
-            extract_str_field(lines[0], "type").as_deref(),
-            Some("epoch")
-        );
+        let first = JsonValue::parse(lines[0]).unwrap();
+        assert_eq!(first.get("type").and_then(JsonValue::as_str), Some("epoch"));
         // Shortest-round-trip formatting preserves the exact f64 sum.
-        assert_eq!(extract_num_field(lines[0], "total_s"), Some(0.1 + 0.2));
-        let run = lines[2];
-        assert_eq!(extract_str_field(run, "type").as_deref(), Some("run"));
-        assert_eq!(extract_str_field(run, "name").as_deref(), Some("test"));
-        let device_secs = extract_num_field(run, "device_secs").unwrap();
+        assert_eq!(
+            first.get("total_s").and_then(JsonValue::as_f64),
+            Some(0.1 + 0.2)
+        );
+        let run = JsonValue::parse(lines[2]).unwrap();
+        assert_eq!(run.get("type").and_then(JsonValue::as_str), Some("run"));
+        assert_eq!(run.get("name").and_then(JsonValue::as_str), Some("test"));
+        let device_secs = run.get("device_secs").and_then(JsonValue::as_f64).unwrap();
         assert!((device_secs - 0.6).abs() < 1e-12, "{device_secs}");
     }
 
@@ -340,7 +341,7 @@ mod tests {
 
     #[test]
     fn jsonl_overlap_fields_only_when_present() {
-        use nessa_telemetry::extract_num_field;
+        use nessa_telemetry::JsonValue;
         let plain = sample_report().to_jsonl();
         assert!(
             !plain.contains("select_side_s"),
@@ -355,12 +356,13 @@ mod tests {
             staleness: 1,
         });
         let jsonl = r.to_jsonl();
-        let first = jsonl.lines().next().unwrap();
-        assert_eq!(extract_num_field(first, "select_side_s"), Some(0.25));
-        assert_eq!(extract_num_field(first, "train_s"), Some(0.5));
-        assert_eq!(extract_num_field(first, "handoff_s"), Some(0.01));
-        assert_eq!(extract_num_field(first, "staleness"), Some(1.0));
-        assert_eq!(extract_num_field(first, "total_s"), Some(0.51));
+        let first = JsonValue::parse(jsonl.lines().next().unwrap()).unwrap();
+        let num = |key: &str| first.get(key).and_then(JsonValue::as_f64);
+        assert_eq!(num("select_side_s"), Some(0.25));
+        assert_eq!(num("train_s"), Some(0.5));
+        assert_eq!(num("handoff_s"), Some(0.01));
+        assert_eq!(num("staleness"), Some(1.0));
+        assert_eq!(num("total_s"), Some(0.51));
         let second = jsonl.lines().nth(1).unwrap();
         assert!(!second.contains("select_side_s"));
     }

@@ -4,9 +4,7 @@ use nessa_tensor::Tensor;
 
 /// A labelled dataset held in memory as a `n × d` feature matrix.
 ///
-/// For convolutional models the feature dimension factors as
-/// `channels × height × width` ([`Dataset::image_dims`]); MLPs consume the
-/// rows directly. `bytes_per_sample` records the *storage* footprint each
+/// Models consume the rows directly. `bytes_per_sample` records the *storage* footprint each
 /// example has on the simulated SSD (the paper's 0.5 KB–130 KB per image),
 /// which can be much larger than the in-memory feature vector — raw pixels
 /// versus the features the models train on.
@@ -17,7 +15,6 @@ pub struct Dataset {
     labels: Vec<usize>,
     classes: usize,
     bytes_per_sample: usize,
-    image_dims: Option<(usize, usize, usize)>,
 }
 
 impl Dataset {
@@ -47,23 +44,7 @@ impl Dataset {
             labels,
             classes,
             bytes_per_sample,
-            image_dims: None,
         }
-    }
-
-    /// Declares that each feature row is a `c × h × w` image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c * h * w` does not equal the feature dimension.
-    pub fn with_image_dims(mut self, c: usize, h: usize, w: usize) -> Self {
-        assert_eq!(
-            c * h * w,
-            self.features.dim(1),
-            "image dims do not factor the feature dimension"
-        );
-        self.image_dims = Some((c, h, w));
-        self
     }
 
     /// Dataset name.
@@ -99,11 +80,6 @@ impl Dataset {
     /// Total storage footprint in bytes.
     pub fn total_bytes(&self) -> u64 {
         self.bytes_per_sample as u64 * self.len() as u64
-    }
-
-    /// Image dimensions, when declared.
-    pub fn image_dims(&self) -> Option<(usize, usize, usize)> {
-        self.image_dims
     }
 
     /// The full feature matrix.
@@ -169,7 +145,6 @@ impl Dataset {
             labels,
             classes: self.classes,
             bytes_per_sample: self.bytes_per_sample,
-            image_dims: self.image_dims,
         }
     }
 
@@ -247,19 +222,5 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_eq!(b.len(), 1);
         assert_eq!(b.labels(), &[1]);
-    }
-
-    #[test]
-    fn image_dims_check() {
-        let x = Tensor::zeros(&[2, 12]);
-        let d = Dataset::new("img", x, vec![0, 1], 2, 50).with_image_dims(3, 2, 2);
-        assert_eq!(d.image_dims(), Some((3, 2, 2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "do not factor")]
-    fn image_dims_rejects_bad_factorization() {
-        let x = Tensor::zeros(&[2, 10]);
-        let _ = Dataset::new("img", x, vec![0, 1], 2, 50).with_image_dims(3, 2, 2);
     }
 }

@@ -4,16 +4,6 @@
 //! consumes that cache in [`Layer::backward`]; gradients accumulate into
 //! [`Param::grad`] and are consumed by the optimizer.
 
-mod bottleneck;
-mod conv;
-mod norm;
-mod pool;
-
-pub use bottleneck::Bottleneck;
-pub use conv::Conv2d;
-pub use norm::{BatchNorm1d, BatchNorm2d};
-pub use pool::{GlobalAvgPool, MaxPool2};
-
 use nessa_tensor::ops::{add_bias_rows, relu_grad_mask, sum_axis0};
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
@@ -26,15 +16,13 @@ pub struct Param {
     pub value: Tensor,
     /// Gradient of the loss with respect to [`Param::value`].
     pub grad: Tensor,
-    /// Whether weight decay applies (disabled for batch-norm scale/shift).
-    pub decay: bool,
 }
 
 impl Param {
     /// Wraps a value tensor with a zeroed gradient.
-    pub fn new(value: Tensor, decay: bool) -> Self {
+    pub fn new(value: Tensor) -> Self {
         let grad = Tensor::zeros(value.shape().dims());
-        Self { value, grad, decay }
+        Self { value, grad }
     }
 
     /// Resets the gradient to zero.
@@ -49,8 +37,8 @@ impl Param {
 /// called with the gradient of the loss w.r.t. the layer's output *after*
 /// the corresponding `forward`, and returns the gradient w.r.t. the input.
 pub trait Layer: Send {
-    /// Runs the layer on a batch. `train` selects training behaviour
-    /// (e.g. batch statistics in batch-norm).
+    /// Runs the layer on a batch. `train` marks a training pass; no
+    /// current layer behaves differently in evaluation.
     ///
     /// The `Send` supertrait lets a whole [`crate::models::Network`]
     /// move to a worker thread (layers are plain tensors), which the
@@ -101,8 +89,8 @@ impl Linear {
         let weight = Tensor::randn(&[out_features, in_features], 0.0, std, rng);
         let bias = Tensor::zeros(&[out_features]);
         Self {
-            weight: Param::new(weight, true),
-            bias: Param::new(bias, true),
+            weight: Param::new(weight),
+            bias: Param::new(bias),
             in_features,
             out_features,
             cached_input: None,
@@ -188,88 +176,6 @@ impl Layer for Relu {
 
     fn name(&self) -> &'static str {
         "relu"
-    }
-}
-
-/// Reshapes flat `[n, d]` rows into `[n, c, h, w]` images — the adapter
-/// that lets convolutional networks consume dataset-style flat feature
-/// rows (e.g. inside the NeSSA pipeline).
-#[derive(Debug, Clone)]
-pub struct ToImage {
-    c: usize,
-    h: usize,
-    w: usize,
-}
-
-impl ToImage {
-    /// Creates an adapter to `c × h × w` images.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero.
-    pub fn new(c: usize, h: usize, w: usize) -> Self {
-        assert!(c > 0 && h > 0 && w > 0, "image dims must be positive");
-        Self { c, h, w }
-    }
-}
-
-impl Layer for ToImage {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        assert_eq!(x.ndim(), 2, "ToImage expects flat [n, d] rows");
-        assert_eq!(
-            x.dim(1),
-            self.c * self.h * self.w,
-            "feature dim {} does not factor into {}x{}x{}",
-            x.dim(1),
-            self.c,
-            self.h,
-            self.w
-        );
-        x.reshape(&[x.dim(0), self.c, self.h, self.w])
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let n = grad_out.dim(0);
-        grad_out.reshape(&[n, self.c * self.h * self.w])
-    }
-
-    fn name(&self) -> &'static str {
-        "to_image"
-    }
-}
-
-/// Reshapes `[n, c, h, w]` activations into `[n, c*h*w]` rows.
-#[derive(Debug, Clone, Default)]
-pub struct Flatten {
-    cached_dims: Option<Vec<usize>>,
-}
-
-impl Flatten {
-    /// Creates a flatten layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        assert!(x.ndim() >= 2, "Flatten expects a batched tensor");
-        let n = x.dim(0);
-        let rest: usize = x.shape().dims()[1..].iter().product();
-        self.cached_dims = Some(x.shape().dims().to_vec());
-        x.reshape(&[n, rest])
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let dims = self
-            .cached_dims
-            .as_ref()
-            .expect("Flatten::backward before forward");
-        grad_out.reshape(dims)
-    }
-
-    fn name(&self) -> &'static str {
-        "flatten"
     }
 }
 
@@ -393,37 +299,8 @@ mod tests {
     }
 
     #[test]
-    fn to_image_round_trip() {
-        let mut l = ToImage::new(3, 2, 2);
-        let x = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 12]);
-        let y = l.forward(&x, true);
-        assert_eq!(y.shape().dims(), &[2, 3, 2, 2]);
-        let back = l.backward(&y);
-        assert_eq!(back.shape().dims(), &[2, 12]);
-        assert_eq!(back.as_slice(), x.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "does not factor")]
-    fn to_image_rejects_bad_dims() {
-        let mut l = ToImage::new(3, 2, 2);
-        let _ = l.forward(&Tensor::zeros(&[1, 10]), true);
-    }
-
-    #[test]
-    fn flatten_round_trip() {
-        let mut l = Flatten::new();
-        let x = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 2, 2]);
-        let y = l.forward(&x, true);
-        assert_eq!(y.shape().dims(), &[2, 12]);
-        let back = l.backward(&y);
-        assert_eq!(back.shape().dims(), &[2, 3, 2, 2]);
-        assert_eq!(back.as_slice(), x.as_slice());
-    }
-
-    #[test]
     fn param_zero_grad() {
-        let mut p = Param::new(Tensor::ones(&[3]), true);
+        let mut p = Param::new(Tensor::ones(&[3]));
         p.grad = Tensor::ones(&[3]);
         p.zero_grad();
         assert_eq!(p.grad.sum(), 0.0);

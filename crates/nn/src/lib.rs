@@ -2,11 +2,12 @@
 //!
 //! The paper trains ResNet-20/18/50 on six image datasets with SGD
 //! (Nesterov momentum 0.9, weight decay 5e-4, LR 0.1 divided by 5 at 60/120/
-//! 160 of 200 epochs, batch 128). This crate provides everything needed to
-//! run that loop on a CPU at reproduction scale:
+//! 160 of 200 epochs, batch 128). This crate runs that loop on a CPU at
+//! reproduction scale with MLPs standing in for the ResNets, which appear
+//! only as analytic FLOP models ([`flops::ArchSpec`]):
 //!
-//! * layers with explicit forward/backward ([`layers`]),
-//! * residual networks and MLP builders ([`models`]),
+//! * linear and ReLU layers with explicit forward/backward ([`layers`]),
+//! * the network container and MLP builder ([`models`]),
 //! * softmax cross-entropy with per-sample losses ([`loss`]) — the
 //!   per-sample losses feed NeSSA's subset-biasing optimization,
 //! * SGD with Nesterov momentum, weight decay and multi-step schedules

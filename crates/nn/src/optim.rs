@@ -14,8 +14,7 @@ use nessa_tensor::Tensor;
 pub struct SgdConfig {
     /// Momentum coefficient (paper: 0.9).
     pub momentum: f32,
-    /// L2 weight decay (paper: 5e-4), applied to parameters whose
-    /// [`Param::decay`](crate::layers::Param::decay) flag is set.
+    /// L2 weight decay (paper: 5e-4), applied to every parameter.
     pub weight_decay: f32,
     /// Use Nesterov momentum (paper: yes).
     pub nesterov: bool,
@@ -71,7 +70,7 @@ impl Sgd {
             let v = &mut velocity[i];
             // g = grad (+ wd * w)
             let mut g = p.grad.clone();
-            if cfg.weight_decay != 0.0 && p.decay {
+            if cfg.weight_decay != 0.0 {
                 g.axpy(cfg.weight_decay, &p.value);
             }
             // v = μv + g

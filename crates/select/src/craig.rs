@@ -7,9 +7,6 @@
 //! pool is split into random chunks small enough for the FPGA's 4.32 MB
 //! on-chip memory, and medoids are selected per chunk — turning the
 //! quadratic similarity computation into a sum of small quadratics.
-//!
-//! Per-class work is independent, so classes are processed on std scoped
-//! threads.
 
 use crate::facility::{maximize_metered, GreedyVariant, SimilarityMatrix};
 use crate::fraction_count;
@@ -27,10 +24,8 @@ pub struct CraigOptions {
     /// chunks of at most this many candidates and select proportionally
     /// from each. `None` selects over whole classes.
     pub partition_chunk: Option<usize>,
-    /// Worker threads for per-class parallelism (1 = sequential).
-    pub threads: usize,
     /// Telemetry handles updated while the kernel runs (`None` = no
-    /// instrumentation). Handles are shared across worker threads.
+    /// instrumentation).
     pub metrics: Option<SelectMetrics>,
 }
 
@@ -39,7 +34,6 @@ impl Default for CraigOptions {
         Self {
             variant: GreedyVariant::Lazy,
             partition_chunk: None,
-            threads: 1,
             metrics: None,
         }
     }
@@ -49,9 +43,7 @@ impl Default for CraigOptions {
 // options is about the algorithm they configure.
 impl PartialEq for CraigOptions {
     fn eq(&self, other: &Self) -> bool {
-        self.variant == other.variant
-            && self.partition_chunk == other.partition_chunk
-            && self.threads == other.threads
+        self.variant == other.variant && self.partition_chunk == other.partition_chunk
     }
 }
 
@@ -111,56 +103,26 @@ fn group_by_class(
     Ok(by_class)
 }
 
-/// Runs the per-class selection bodies, optionally on std scoped threads.
-/// RNGs are pre-split per class so the result is deterministic regardless
-/// of thread interleaving.
+/// Runs the per-class selection bodies in class order. RNGs are
+/// pre-split per class before any class draws, so each class's picks
+/// depend only on its own stream.
 fn run_per_class(
-    sim_of: &(dyn Fn(&[usize]) -> SimilarityMatrix + Sync),
+    sim_of: &dyn Fn(&[usize]) -> SimilarityMatrix,
     by_class: &[Vec<usize>],
     fraction: f32,
     options: &CraigOptions,
     rng: &mut Rng64,
 ) -> Result<Selection, SelectError> {
-    let classes = by_class.len();
-    let mut class_rngs: Vec<Rng64> = (0..classes).map(|_| rng.split()).collect();
-    let threads = options.threads.max(1);
-    let mut per_class: Vec<Selection> = Vec::with_capacity(classes);
-    if threads == 1 {
-        for (members, class_rng) in by_class.iter().zip(class_rngs.iter_mut()) {
-            per_class.push(select_one_class_with(
-                sim_of, members, fraction, options, class_rng,
-            )?);
-        }
-    } else {
-        let mut slots: Vec<Option<Result<Selection, SelectError>>> = vec![None; classes];
-        let chunk = classes.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for ((slot_chunk, class_chunk), rng_chunk) in slots
-                .chunks_mut(chunk)
-                .zip(by_class.chunks(chunk))
-                .zip(class_rngs.chunks_mut(chunk))
-            {
-                scope.spawn(move || {
-                    for ((slot, members), class_rng) in slot_chunk
-                        .iter_mut()
-                        .zip(class_chunk.iter())
-                        .zip(rng_chunk.iter_mut())
-                    {
-                        *slot = Some(select_one_class_with(
-                            sim_of, members, fraction, options, class_rng,
-                        ));
-                    }
-                });
-            }
-        });
-        for slot in slots {
-            let sel = slot.ok_or(SelectError::Internal("class worker never filled its slot"))?;
-            per_class.push(sel?);
-        }
-    }
+    let class_rngs: Vec<Rng64> = by_class.iter().map(|_| rng.split()).collect();
     let mut merged = Selection::default();
-    for sel in per_class {
-        merged.extend(sel);
+    for (members, mut class_rng) in by_class.iter().zip(class_rngs) {
+        merged.extend(select_one_class_with(
+            sim_of,
+            members,
+            fraction,
+            options,
+            &mut class_rng,
+        )?);
     }
     Ok(merged)
 }
@@ -334,36 +296,6 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), sel.len());
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let (x, y) = toy();
-        let seq = select_per_class(
-            &x,
-            &y,
-            2,
-            0.3,
-            &CraigOptions {
-                threads: 1,
-                ..CraigOptions::default()
-            },
-            &mut Rng64::new(7),
-        )
-        .unwrap();
-        let par = select_per_class(
-            &x,
-            &y,
-            2,
-            0.3,
-            &CraigOptions {
-                threads: 4,
-                ..CraigOptions::default()
-            },
-            &mut Rng64::new(7),
-        )
-        .unwrap();
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The K-Centers baseline (Sener & Savarese '17).
 //!
 //! Farthest-first traversal: repeatedly add the candidate farthest from the
-//! current centre set. This greedily 2-approximates the k-center objective
+//! current centre set. This greedy rule 2-approximates the k-center objective
 //! (minimize the maximum candidate-to-centre distance). The paper compares
 //! NeSSA against this CPU baseline in Table 3 and Figure 4; its weakness at
 //! small subset sizes — it chases outliers instead of covering mass — is

@@ -24,7 +24,6 @@
 
 pub mod craig;
 pub mod facility;
-pub mod greedi;
 pub mod kcenters;
 pub mod kmedoids;
 pub mod metrics;

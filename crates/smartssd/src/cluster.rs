@@ -2,12 +2,12 @@
 //! this work for larger datasets and models scaling over multiple
 //! SmartSSDs and GPUs").
 //!
-//! A [`SsdCluster`] shards a dataset across several drives; each drive
-//! scans its shard and selects locally (the GreeDi round-1 of
-//! `nessa-select`), then ships its local picks over the interconnect for
-//! the host-side merge (round 2). Drives operate in parallel, so the
-//! wall-clock of a phase is the slowest drive's time; bytes and energy are
-//! summed.
+//! A [`SsdCluster`] shards a dataset across several drives. Each drive is
+//! charged scan and kernel time for its shard, but the selection itself
+//! runs once, centrally, over the whole pool; each drive then ships its
+//! share of the chosen subset over the interconnect. Drives operate in
+//! parallel, so the wall-clock of a phase is the slowest drive's time;
+//! bytes and energy are summed.
 //!
 //! Drives can fail: every phase returns a typed [`ClusterError`]
 //! identifying the drive at fault, and a dead drive can be evicted with
@@ -285,8 +285,8 @@ impl SsdCluster {
     }
 
     /// Phase: every drive ships its share of the `records` selected
-    /// subset to the host (GreeDi round 1 → 2 hand-off), sharing the
-    /// host link — transfer times add. Returns the phase's seconds.
+    /// subset to the host, sharing the host link — transfer times add.
+    /// Returns the phase's seconds.
     ///
     /// # Errors
     ///

@@ -32,7 +32,7 @@ pub mod tree;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use parse::{parse_line, parse_stream, JsonValue, ParseError, StreamError, TelemetryEvent};
-pub use sink::{extract_num_field, extract_str_field, render_timeline};
+pub use sink::render_timeline;
 pub use span::{AttrValue, SpanRecord};
 pub use tree::SpanTree;
 
@@ -638,18 +638,24 @@ mod tests {
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
-        let types: Vec<String> = lines
-            .iter()
-            .filter_map(|l| extract_str_field(l, "type"))
-            .collect();
+        let parsed: Vec<JsonValue> = lines.iter().map(|l| JsonValue::parse(l).unwrap()).collect();
+        let type_of = |v: &JsonValue| {
+            v.get("type")
+                .and_then(JsonValue::as_str)
+                .map(str::to_string)
+        };
+        let types: Vec<String> = parsed.iter().filter_map(type_of).collect();
         for ty in ["span", "device", "counter", "histogram"] {
             assert!(types.iter().any(|t| t == ty), "missing type {ty}");
         }
-        let span_line = lines
+        let span_line = parsed
             .iter()
-            .find(|l| extract_str_field(l, "type").as_deref() == Some("span"))
+            .find(|v| type_of(v).as_deref() == Some("span"))
             .unwrap();
-        assert_eq!(extract_num_field(span_line, "sim_s"), Some(0.25));
+        assert_eq!(
+            span_line.get("sim_s").and_then(JsonValue::as_f64),
+            Some(0.25)
+        );
         fs::remove_file(&path).ok();
     }
 

@@ -4,9 +4,8 @@
 //! module is its inverse: a small recursive-descent JSON parser (still
 //! zero-dependency) plus a typed decoder that turns each line back into a
 //! [`TelemetryEvent`]. The offline trace analyzer (`nessa-trace`) builds
-//! entirely on this API, and the legacy field extractors in
-//! [`crate::sink`] are reimplemented on top of it so escaped quotes and
-//! nested objects are handled correctly.
+//! entirely on this API; ad-hoc field reads use [`JsonValue::parse`]
+//! followed by [`JsonValue::get`].
 
 use crate::metrics::HistogramSummary;
 use crate::span::{AttrValue, SpanRecord};

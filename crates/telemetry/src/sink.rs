@@ -2,7 +2,6 @@
 
 use crate::json::JsonObject;
 use crate::metrics::MetricsSnapshot;
-use crate::parse::JsonValue;
 use crate::span::{AttrValue, SpanRecord};
 use crate::DeviceEvent;
 use std::fmt::Write as _;
@@ -148,33 +147,10 @@ pub fn render_timeline(spans: &[SpanRecord], snapshot: &MetricsSnapshot) -> Stri
     out
 }
 
-/// Looks up `key` in a parsed line: at the top level first, then inside
-/// the `attrs` sub-object (span lines keep their attributes nested).
-fn lookup<'a>(line: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
-    line.get(key)
-        .or_else(|| line.get("attrs").and_then(|a| a.get(key)))
-}
-
-/// Extracts a string field from a JSONL line (top level or span attrs).
-///
-/// Built on the full parser in [`crate::parse`], so escaped quotes and
-/// nested objects are handled correctly; returns `None` for lines that do
-/// not parse as a JSON object or lack a string-valued `key`.
-pub fn extract_str_field(line: &str, key: &str) -> Option<String> {
-    let value = JsonValue::parse(line.trim()).ok()?;
-    lookup(&value, key)?.as_str().map(str::to_string)
-}
-
-/// Extracts a numeric (or integer) field from a JSONL line (top level or
-/// span attrs). See [`extract_str_field`] for parsing behavior.
-pub fn extract_num_field(line: &str, key: &str) -> Option<f64> {
-    let value = JsonValue::parse(line.trim()).ok()?;
-    lookup(&value, key)?.as_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse::JsonValue;
 
     fn sample_span() -> SpanRecord {
         SpanRecord {
@@ -190,28 +166,33 @@ mod tests {
 
     #[test]
     fn span_line_shape() {
-        let line = span_line(&sample_span());
-        assert_eq!(extract_str_field(&line, "type").as_deref(), Some("span"));
-        assert_eq!(extract_str_field(&line, "name").as_deref(), Some("scan"));
-        assert_eq!(extract_num_field(&line, "start_s"), Some(0.125));
-        assert_eq!(extract_num_field(&line, "sim_s"), Some(0.25));
-        assert_eq!(extract_num_field(&line, "parent"), Some(1.0));
-        assert_eq!(extract_num_field(&line, "epoch"), Some(0.0));
+        let line = JsonValue::parse(&span_line(&sample_span())).unwrap();
+        assert_eq!(line.get("type").and_then(JsonValue::as_str), Some("span"));
+        assert_eq!(line.get("name").and_then(JsonValue::as_str), Some("scan"));
+        assert_eq!(line.get("start_s").and_then(JsonValue::as_f64), Some(0.125));
+        assert_eq!(line.get("sim_s").and_then(JsonValue::as_f64), Some(0.25));
+        assert_eq!(line.get("parent").and_then(JsonValue::as_f64), Some(1.0));
+        let attrs = line.get("attrs").unwrap();
+        assert_eq!(attrs.get("epoch").and_then(JsonValue::as_f64), Some(0.0));
     }
 
     #[test]
-    fn extractors_survive_escaped_quotes_and_nesting() {
+    fn lookups_survive_escaped_quotes_and_nesting() {
         // A string value containing an escaped quote and something that
         // looks like another field must not confuse later lookups.
-        let line = r#"{"type":"span","name":"a\"b","trap":"\"sim_s\":999,","attrs":{"label":"x,y"},"sim_s":0.5}"#;
-        assert_eq!(extract_str_field(line, "name").as_deref(), Some("a\"b"));
-        assert_eq!(extract_num_field(line, "sim_s"), Some(0.5));
-        assert_eq!(extract_str_field(line, "label").as_deref(), Some("x,y"));
+        let line = JsonValue::parse(
+            r#"{"type":"span","name":"a\"b","trap":"\"sim_s\":999,","attrs":{"label":"x,y"},"sim_s":0.5}"#,
+        )
+        .unwrap();
+        assert_eq!(line.get("name").and_then(JsonValue::as_str), Some("a\"b"));
+        assert_eq!(line.get("sim_s").and_then(JsonValue::as_f64), Some(0.5));
+        let attrs = line.get("attrs").unwrap();
+        assert_eq!(attrs.get("label").and_then(JsonValue::as_str), Some("x,y"));
         // Nested-object values don't terminate the scan early.
-        let nested = r#"{"a":{"b":{"c":1}},"d":2}"#;
-        assert_eq!(extract_num_field(nested, "d"), Some(2.0));
-        // Whole-line garbage returns None instead of a bogus match.
-        assert_eq!(extract_num_field("not json \"d\":3", "d"), None);
+        let nested = JsonValue::parse(r#"{"a":{"b":{"c":1}},"d":2}"#).unwrap();
+        assert_eq!(nested.get("d").and_then(JsonValue::as_f64), Some(2.0));
+        // Whole-line garbage is an error instead of a bogus match.
+        assert!(JsonValue::parse("not json \"d\":3").is_err());
     }
 
     #[test]
@@ -222,17 +203,23 @@ mod tests {
             duration_s: 0.5,
             bytes: 4096,
         };
-        let line = device_event_line(&ev);
-        assert_eq!(extract_str_field(&line, "phase").as_deref(), Some("select"));
-        assert_eq!(extract_num_field(&line, "bytes"), Some(4096.0));
+        let line = JsonValue::parse(&device_event_line(&ev)).unwrap();
+        assert_eq!(
+            line.get("phase").and_then(JsonValue::as_str),
+            Some("select")
+        );
+        assert_eq!(line.get("bytes").and_then(JsonValue::as_f64), Some(4096.0));
     }
 
     #[test]
     fn sim_seconds_round_trip_through_jsonl() {
         let mut rec = sample_span();
         rec.sim_secs = 0.1 + 0.2; // classic non-representable sum
-        let line = span_line(&rec);
-        assert_eq!(extract_num_field(&line, "sim_s"), Some(rec.sim_secs));
+        let line = JsonValue::parse(&span_line(&rec)).unwrap();
+        assert_eq!(
+            line.get("sim_s").and_then(JsonValue::as_f64),
+            Some(rec.sim_secs)
+        );
     }
 
     #[test]

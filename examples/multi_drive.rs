@@ -1,7 +1,8 @@
 //! The paper's future work, runnable: shard a full-scale dataset across a
-//! fleet of simulated SmartSSDs, select locally on each drive (GreeDi
-//! round 1), and watch the near-storage phases scale while the shared
-//! host link becomes the new bottleneck.
+//! fleet of simulated SmartSSDs, charge each drive scan and kernel time
+//! for its shard (selection itself runs once, centrally, over the whole
+//! pool), and watch the near-storage phases scale while the shared host
+//! link becomes the new bottleneck.
 //!
 //! Run with `cargo run --release --example multi_drive`.
 
@@ -16,7 +17,7 @@ fn main() {
     let bytes = spec.bytes_per_image as u64;
     let subset = records * 34 / 100; // the paper's Table-2 operating point
     println!(
-        "{}: {} records x {} KB, 34% subset, GreeDi across drives",
+        "{}: {} records x {} KB, 34% subset, sharded across drives",
         spec.name,
         records,
         bytes / 1000

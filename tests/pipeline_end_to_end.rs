@@ -2,7 +2,7 @@
 //! paper's baselines on a shared synthetic dataset, spanning every crate
 //! in the workspace.
 
-use nessa::core::{run_policy, NessaConfig, Policy};
+use nessa::core::{run_policy, NessaConfig, NessaPipeline, Policy};
 use nessa::data::{Dataset, SynthConfig};
 use nessa::nn::models::{mlp, Network};
 use nessa::tensor::rng::Rng64;
@@ -140,35 +140,6 @@ fn subset_biasing_and_sizing_compose() {
 }
 
 #[test]
-fn parallel_selection_matches_sequential() {
-    // Per-class selection on 4 worker threads must produce the same run
-    // as sequential selection (RNGs are pre-split per class).
-    let (train, test) = dataset();
-    let seq = run_policy(
-        &Policy::Nessa(NessaConfig::new(0.3, 4).with_threads(1)),
-        &train,
-        &test,
-        4,
-        BATCH,
-        11,
-        &builder,
-    )
-    .unwrap();
-    let par = run_policy(
-        &Policy::Nessa(NessaConfig::new(0.3, 4).with_threads(4)),
-        &train,
-        &test,
-        4,
-        BATCH,
-        11,
-        &builder,
-    )
-    .unwrap();
-    assert_eq!(seq.accuracy_curve(), par.accuracy_curve());
-    assert_eq!(seq.traffic, par.traffic);
-}
-
-#[test]
 fn full_run_is_deterministic() {
     let (train, test) = dataset();
     let cfg = NessaConfig::new(0.3, 5);
@@ -186,6 +157,37 @@ fn full_run_is_deterministic() {
     assert_eq!(a.accuracy_curve(), b.accuracy_curve());
     assert_eq!(a.traffic, b.traffic);
     assert_eq!(a.to_csv(), b.to_csv());
+}
+
+#[test]
+fn drive_count_changes_kernel_time_not_picks() {
+    // Selection runs once, centrally, over the whole pool: sharding the
+    // data across drives changes only what each drive is charged.
+    let (train, test) = dataset();
+    let run = |drives: usize| {
+        let cfg = NessaConfig::new(0.3, 3)
+            .with_batch_size(BATCH)
+            .with_seed(9)
+            .with_drives(drives);
+        let mut rng = Rng64::new(cfg.seed);
+        let (target, selector) = (builder(&mut rng), builder(&mut rng));
+        let mut p = NessaPipeline::new(cfg, target, selector, train.clone(), test.clone());
+        let report = p.run().unwrap();
+        (p.selection_history().to_vec(), report)
+    };
+    let (one_picks, one) = run(1);
+    let (four_picks, four) = run(4);
+    assert_eq!(one_picks, four_picks);
+    assert_eq!(one.accuracy_curve(), four.accuracy_curve());
+    for (a, b) in one.epochs.iter().zip(&four.epochs) {
+        assert!(
+            b.select_secs < a.select_secs,
+            "epoch {}: 4-drive kernel {} !< 1-drive {}",
+            a.epoch,
+            b.select_secs,
+            a.select_secs
+        );
+    }
 }
 
 #[test]

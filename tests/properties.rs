@@ -7,7 +7,7 @@ use nessa::quant::QuantizedTensor;
 use nessa::select::facility::{maximize, GreedyVariant, SimilarityMatrix};
 use nessa::select::{fraction_count, kcenters};
 use nessa::smartssd::nand::NandArray;
-use nessa::telemetry::extract_num_field;
+use nessa::telemetry::JsonValue;
 use nessa::tensor::approx::approx_eq_f64;
 use nessa::tensor::linalg::{cross_sq_dists, pairwise_sq_dists};
 use nessa::tensor::rng::Rng64;
@@ -203,7 +203,8 @@ proptest! {
         let report = overlap_pipeline(&cfg).run().unwrap();
         let jsonl = report.to_jsonl();
         for (line, rec) in jsonl.lines().zip(&report.epochs) {
-            let get = |field: &str| extract_num_field(line, field)
+            let parsed = JsonValue::parse(line).expect("epoch line parses");
+            let get = |field: &str| parsed.get(field).and_then(JsonValue::as_f64)
                 .unwrap_or_else(|| panic!("epoch line missing {field}: {line}"));
             let composed = get("sync_s") + get("select_side_s").max(get("train_s")) + get("handoff_s");
             prop_assert!(approx_eq_f64(get("total_s"), composed, 1e-12),
@@ -233,22 +234,5 @@ proptest! {
             prop_assert!(o.staleness <= 1,
                 "epoch {}: staleness {} > 1", rec.epoch, o.staleness);
         }
-    }
-
-    #[test]
-    fn selection_is_independent_of_worker_thread_count(seed in any::<u64>()) {
-        // Per-class RNG streams are pre-split before any class worker
-        // runs, so carving the classes across 1 vs 4 threads must not
-        // change a single pick — or a single byte of the report.
-        let cfg = NessaConfig::new(0.4, 3)
-            .with_batch_size(16)
-            .with_seed(seed)
-            .with_overlap(true);
-        let mut one = overlap_pipeline(&cfg.clone().with_threads(1));
-        let a = one.run().unwrap();
-        let mut four = overlap_pipeline(&cfg.clone().with_threads(4));
-        let b = four.run().unwrap();
-        prop_assert_eq!(one.selection_history(), four.selection_history());
-        prop_assert_eq!(a.to_jsonl(), b.to_jsonl());
     }
 }

@@ -1,11 +1,8 @@
-//! Robustness integration tests: the pipeline under injected label noise,
-//! and distributed (multi-drive) selection quality.
+//! Robustness integration test: the pipeline under injected label noise.
 
 use nessa::core::{run_policy, NessaConfig, Policy};
 use nessa::data::{corrupt, SynthConfig};
 use nessa::nn::models::mlp;
-use nessa::select::facility::{GreedyVariant, SimilarityMatrix};
-use nessa::select::greedi::greedi;
 use nessa::tensor::rng::Rng64;
 
 #[test]
@@ -55,53 +52,4 @@ fn pipeline_survives_label_noise() {
         dirty.best_accuracy(),
         clean.best_accuracy()
     );
-}
-
-#[test]
-fn distributed_selection_matches_centralized_quality() {
-    // GreeDi over 4 simulated drives vs centralized facility location on
-    // real proxy-like data, judged by the facility objective.
-    let (train, _) = SynthConfig {
-        train: 300,
-        test: 10,
-        dim: 16,
-        classes: 5,
-        ..SynthConfig::default()
-    }
-    .generate();
-    let feats = train.features();
-    let sim = SimilarityMatrix::from_features(feats);
-    let mut rng = Rng64::new(7);
-    let central =
-        nessa::select::facility::maximize(&sim, 30, GreedyVariant::Lazy, &mut rng).unwrap();
-    let distributed = greedi(feats, 30, 4, GreedyVariant::Lazy, &mut rng).unwrap();
-    let fc = sim.objective(&central.indices);
-    let fd = sim.objective(&distributed.indices);
-    assert!(fd >= 0.92 * fc, "distributed {fd} vs centralized {fc}");
-    // Weights still cover the whole ground set.
-    let total: f32 = distributed.weights.iter().sum();
-    assert_eq!(total, 300.0);
-}
-
-#[test]
-fn weight_temper_extremes_both_train() {
-    let (train, test) = SynthConfig {
-        train: 300,
-        test: 120,
-        dim: 12,
-        classes: 4,
-        ..SynthConfig::default()
-    }
-    .generate();
-    let builder = |rng: &mut Rng64| mlp(&[12, 24, 4], rng);
-    for temper in [0.0f32, 0.5, 1.0] {
-        let mut cfg = NessaConfig::new(0.25, 8);
-        cfg.weight_temper = temper;
-        let r = run_policy(&Policy::Nessa(cfg), &train, &test, 8, 32, 3, &builder).unwrap();
-        assert!(
-            r.best_accuracy() > 0.5,
-            "temper {temper}: accuracy {}",
-            r.best_accuracy()
-        );
-    }
 }
