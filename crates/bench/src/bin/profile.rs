@@ -245,7 +245,12 @@ fn profile_overlap(settings: TelemetrySettings) {
         pipelined <= serialized + 1e-12,
         "pipelined sim total {pipelined} exceeds the serialized schedule {serialized}"
     );
-    let hidden = pipeline.device().hidden_secs();
+    let hidden: f64 = report
+        .epochs
+        .iter()
+        .filter_map(|r| r.overlap.as_ref())
+        .map(|o| o.select_side_secs.min(o.train_secs))
+        .sum();
     println!(
         "simulated schedule: serialized {serialized:.6}s, pipelined {pipelined:.6}s \
          ({:.1}% shorter; {hidden:.6}s of device time hidden under training)",

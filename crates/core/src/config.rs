@@ -10,8 +10,9 @@ use nessa_telemetry::TelemetrySettings;
 /// ÷5 at 60/120/160 of 200 epochs, weight decay 5e-4, Nesterov 0.9) and
 /// optimization settings (§3.2: drop every 20 epochs). Construct with
 /// [`NessaConfig::new`] and override fields with the builder methods.
-/// The 5-epoch loss window, the 40 % pool floor and the medoid-weight
-/// exponent 0.5 are constants in [`crate::pipeline`], and device retries
+/// The 5-epoch loss window, the 40 % pool floor, the medoid-weight
+/// exponent 0.5 and the dynamic-sizing shrink factor 0.9 are constants in
+/// [`crate::pipeline`], and device retries
 /// follow [`RetryPolicy::default`](crate::RetryPolicy).
 ///
 /// ```
@@ -54,8 +55,6 @@ pub struct NessaConfig {
     pub dynamic_sizing: bool,
     /// Relative per-epoch loss reduction below which the subset shrinks.
     pub sizing_threshold: f32,
-    /// Multiplicative shrink factor for the subset fraction.
-    pub sizing_factor: f32,
     /// Floor for the subset fraction under dynamic sizing.
     pub sizing_min_fraction: f32,
     /// Greedy maximizer used on the (simulated) FPGA.
@@ -101,7 +100,6 @@ impl NessaConfig {
             partitioning: true,
             dynamic_sizing: false,
             sizing_threshold: 0.01,
-            sizing_factor: 0.9,
             sizing_min_fraction: 0.05,
             greedy: GreedyVariant::Lazy,
             seed: 42,

@@ -43,7 +43,7 @@ use crate::proxy::gradient_proxies;
 use crate::report::{EpochRecord, OverlapRecord, RunReport};
 use crate::retry::RetryPolicy;
 use crate::sizing::SubsetSizer;
-use crate::trainer::{evaluate, train_epoch_metered, TrainMetrics};
+use crate::trainer::{evaluate, train_epoch, TrainMetrics};
 use nessa_data::Dataset;
 use nessa_nn::cost::{epoch_time, DeviceSpec, LoaderSpec};
 use nessa_nn::models::Network;
@@ -69,6 +69,10 @@ const MIN_POOL_FRACTION: f32 = 0.4;
 /// few medoids, which destabilizes SGD on small subsets of
 /// highly-redundant data; `γ = 0.5` tempers that.
 const MEDOID_WEIGHT_EXPONENT: f32 = 0.5;
+
+/// Multiplicative shrink applied to the subset fraction each time dynamic
+/// sizing sees the loss plateau.
+const SUBSET_SHRINK_FACTOR: f32 = 0.9;
 
 /// Shared, read-only context one selection round needs besides the
 /// device and the selector network. Everything here is thread-shareable
@@ -104,7 +108,7 @@ fn recover<T>(
         };
         if matches!(e.error, DeviceError::Offline) {
             if cluster.evict_drive(e.drive) {
-                ctx.health.note_drive_evicted(cluster.len());
+                ctx.health.note_drive_evicted();
             }
             if !cluster.is_empty() {
                 continue;
@@ -334,8 +338,7 @@ fn selection_round(
                 .span("fallback")
                 .with_attr("epoch", epoch)
                 .with_attr("rung", "random");
-            let sel =
-                random::select_per_class_checked(&pool_labels, ctx.train.classes(), fraction, rng)?;
+            let sel = random::select_per_class(&pool_labels, ctx.train.classes(), fraction, rng)?;
             fb.set_attr("subset", sel.len());
             sel
         }
@@ -486,7 +489,7 @@ impl NessaPipeline {
         let mut sizer = SubsetSizer::new(
             cfg.subset_fraction,
             cfg.sizing_threshold,
-            cfg.sizing_factor,
+            SUBSET_SHRINK_FACTOR,
             cfg.sizing_min_fraction.min(cfg.subset_fraction),
         );
         let pool_of = |tracker: &LossTracker| -> Vec<usize> {
@@ -506,8 +509,7 @@ impl NessaPipeline {
         };
         let select_metrics = SelectMetrics::from_telemetry(&self.telemetry);
         let train_metrics = TrainMetrics::from_telemetry(&self.telemetry);
-        let mut health = HealthMonitor::new(&self.telemetry, cfg.epochs);
-        health.set_drives_alive(self.device.len());
+        let health = HealthMonitor::new(&self.telemetry);
         let mut fraction = cfg.subset_fraction;
         // Forward + backward ≈ 3× the forward cost; feeds the
         // deterministic GPU-side cost model for the overlap ledger.
@@ -606,7 +608,7 @@ impl NessaPipeline {
                         .span("train")
                         .with_attr("epoch", epoch)
                         .with_attr("subset", selection.len());
-                    train_epoch_metered(
+                    train_epoch(
                         target,
                         &mut opt,
                         ctx.train,
@@ -632,10 +634,6 @@ impl NessaPipeline {
                 select_secs += round.select_secs;
                 io_secs += round.io_secs;
                 self.history.push((next, round.selection.indices.clone()));
-                // Device time hidden under concurrent training, on the
-                // simulated clock.
-                self.device
-                    .note_overlap_hidden(orec.select_side_secs.min(orec.train_secs));
                 pending = Some(round.selection);
             }
             // Feedback: quantize this epoch's weights, broadcast to every
@@ -688,7 +686,6 @@ impl NessaPipeline {
             epoch_span.set_attr("train_loss", outcome.mean_loss);
             epoch_span.set_attr("test_acc", test_acc);
             epoch_span.finish();
-            health.epoch_completed(selection.len());
             report.epochs.push(record);
         }
         self.finish_run(&mut report, &health);
@@ -701,7 +698,6 @@ impl NessaPipeline {
         report.traffic = self.device.traffic();
         report.device_energy_j = self.device.energy_joules();
         health.note_faults_injected(self.device.faults_injected());
-        health.set_drives_alive(self.device.len());
         // Bridge every drive's phase trace (retired ones included) and
         // roll-up counters into the unified stream, then flush the sinks
         // for this run.
@@ -737,11 +733,6 @@ impl NessaPipeline {
             self.telemetry
                 .gauge("device.sim_secs")
                 .set(report.device_secs());
-            if self.device.hidden_secs() > 0.0 {
-                self.telemetry
-                    .gauge("device.hidden_secs")
-                    .set(self.device.hidden_secs());
-            }
             self.telemetry.flush();
         }
     }
@@ -849,31 +840,12 @@ mod tests {
             .with_dynamic_sizing(true)
             .with_seed(3);
         cfg.sizing_threshold = 0.5; // aggressive: shrink on <50 % reduction
-        cfg.sizing_factor = 0.8;
         cfg.sizing_min_fraction = 0.1;
         let mut p = small_setup(&cfg);
         let report = p.run().unwrap();
         let first = report.epochs.first().unwrap().subset_size;
         let last = report.epochs.last().unwrap().subset_size;
         assert!(last < first, "{last} !< {first}");
-    }
-
-    #[test]
-    fn health_gauges_published_during_run() {
-        use nessa_telemetry::TelemetrySettings;
-        let cfg = NessaConfig::new(0.3, 3)
-            .with_batch_size(32)
-            .with_telemetry(TelemetrySettings::memory())
-            .with_seed(4);
-        let mut p = small_setup(&cfg);
-        p.run().unwrap();
-        let snap = p.telemetry().metrics_snapshot();
-        let gauges: std::collections::BTreeMap<_, _> = snap.gauges.into_iter().collect();
-        assert_eq!(gauges["health.epochs_done"], 3.0);
-        assert!(gauges["health.epoch_secs"] > 0.0);
-        assert!(gauges["health.samples_per_sec"] > 0.0);
-        // The run is over: nothing remains, so the ETA gauge reads zero.
-        assert_eq!(gauges["health.eta_secs"], 0.0);
     }
 
     #[test]
@@ -930,16 +902,15 @@ mod tests {
             .with_overlap(true);
         let mut p = small_setup(&cfg);
         let report = p.run().unwrap();
-        let hidden = p.device().hidden_secs();
+        // Each pipelined epoch hides the shorter of its two sides.
+        let overlaps = || report.epochs.iter().filter_map(|r| r.overlap.as_ref());
+        let hidden: f64 = overlaps()
+            .map(|o| o.select_side_secs.min(o.train_secs))
+            .sum();
         assert!(hidden > 0.0, "pipelined rounds must hide device time");
         assert!(hidden <= p.device().elapsed_secs() + 1e-12);
         // The hidden portion never exceeds what the rounds cost.
-        let side: f64 = report
-            .epochs
-            .iter()
-            .filter_map(|r| r.overlap.as_ref())
-            .map(|o| o.select_side_secs)
-            .sum();
+        let side: f64 = overlaps().map(|o| o.select_side_secs).sum();
         assert!(hidden <= side + 1e-12);
     }
 

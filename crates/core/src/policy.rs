@@ -143,13 +143,13 @@ fn run_cpu_policy(
                     train.classes(),
                     *fraction,
                     &mut rng,
-                );
+                )?;
                 // Sener & Savarese train the subset unweighted.
                 sel.weights = vec![1.0; sel.len()];
                 sel
             }
             Policy::Random { fraction } => {
-                random::select_per_class(train.labels(), train.classes(), *fraction, &mut rng)
+                random::select_per_class(train.labels(), train.classes(), *fraction, &mut rng)?
             }
             Policy::Nessa(_) => unreachable!("handled by run_policy"),
         };
@@ -162,6 +162,7 @@ fn run_cpu_policy(
             batch_size,
             lr,
             &mut rng,
+            None,
         );
         let test_acc = evaluate(&mut net, test, batch_size);
         report.epochs.push(EpochRecord {
@@ -247,6 +248,26 @@ mod tests {
             assert_eq!(r.epochs.len(), 3, "{}", policy.label());
             assert_eq!(r.name, policy.label());
             assert!(r.final_accuracy() > 0.25, "{} too weak", policy.label());
+        }
+    }
+
+    #[test]
+    fn bad_fractions_are_typed_errors_for_every_cpu_policy() {
+        use nessa_select::SelectError;
+        let (train, test) = data();
+        for fraction in [0.0, 1.5, f32::NAN] {
+            for policy in [
+                Policy::Craig { fraction },
+                Policy::KCenters { fraction },
+                Policy::Random { fraction },
+            ] {
+                let r = run_policy(&policy, &train, &test, 1, 32, 0, &model);
+                assert!(
+                    matches!(r, Err(PipelineError::Select(SelectError::BadFraction(_)))),
+                    "{} at fraction {fraction}: {r:?}",
+                    policy.label()
+                );
+            }
         }
     }
 

@@ -12,9 +12,11 @@
 //! samples: `‖a_i b_iᵀ − a_j b_jᵀ‖² = ‖a_i‖²‖b_i‖² + ‖a_j‖²‖b_j‖² −
 //! 2 (a_i·a_j)(b_i·b_j)`, so the FPGA kernel's cost per pair is
 //! `O(classes + feature_dim)` — the low-operational-intensity property of
-//! paper §2.2. At reproduction scale we *do* materialize it
-//! ([`GradientProxies::flatten_outer`]) so the selection crate's dense
-//! kernels apply unchanged.
+//! paper §2.2. The reproduction does the same: the pipeline and the CPU
+//! CRAIG policy hand both factors to
+//! `nessa_select::craig::select_per_class_factored`, which builds each
+//! chunk's similarities from the factorization and never materializes an
+//! outer product.
 
 use nessa_data::Dataset;
 use nessa_nn::models::Network;
@@ -40,47 +42,6 @@ impl GradientProxies {
     /// True when no samples are present.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Materializes the flattened outer products: row `i` is
-    /// `vec(residual_i ⊗ feature_i)` of length `classes × feature_dim`.
-    /// Euclidean distances over these rows equal the last-layer gradient
-    /// distances CRAIG's facility location consumes.
-    pub fn flatten_outer(&self) -> Tensor {
-        let (n, c) = (self.residuals.dim(0), self.residuals.dim(1));
-        let f = self.features.dim(1);
-        let mut out = Tensor::zeros(&[n, c * f]);
-        for i in 0..n {
-            let res = self.residuals.row(i);
-            let feat = self.features.row(i);
-            let row = out.row_mut(i);
-            for (ci, &r) in res.iter().enumerate() {
-                // nessa-lint: allow(f1-float-eq) — exact-zero skip is a
-                // pure optimization; any nonzero residual takes the slow
-                // path and computes the same product.
-                if r == 0.0 {
-                    continue;
-                }
-                let dst = &mut row[ci * f..(ci + 1) * f];
-                for (d, &x) in dst.iter_mut().zip(feat.iter()) {
-                    *d = r * x;
-                }
-            }
-        }
-        out
-    }
-
-    /// Per-sample last-layer gradient norms
-    /// (`‖residual‖ · ‖feature‖`), without materializing the outer
-    /// product. Large norms mark hard, informative samples.
-    pub fn gradient_norms(&self) -> Vec<f32> {
-        (0..self.len())
-            .map(|i| {
-                let r: f32 = self.residuals.row(i).iter().map(|v| v * v).sum();
-                let f: f32 = self.features.row(i).iter().map(|v| v * v).sum();
-                (r * f).sqrt()
-            })
-            .collect()
     }
 }
 
@@ -152,30 +113,6 @@ pub fn embeddings(
     out.unwrap_or_else(|| Tensor::zeros(&[0, 0]))
 }
 
-/// Per-sample losses under the current model, in the order of `indices`
-/// (cross-entropy, eval mode). Used by subset biasing to find learned
-/// samples without a backward pass.
-///
-/// # Panics
-///
-/// Panics if any index is out of bounds or `batch_size == 0`.
-pub fn sample_losses(
-    model: &mut Network,
-    dataset: &Dataset,
-    indices: &[usize],
-    batch_size: usize,
-) -> Vec<f32> {
-    assert!(batch_size > 0, "batch size must be positive");
-    let mut out = Vec::with_capacity(indices.len());
-    for chunk in indices.chunks(batch_size) {
-        let (x, y) = dataset.batch(chunk);
-        let logits = model.forward(&x, false);
-        let loss = nessa_nn::loss::softmax_cross_entropy(&logits, &y);
-        out.extend(loss.per_sample);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +120,35 @@ mod tests {
     use nessa_nn::models::mlp;
     use nessa_tensor::linalg::sq_dist;
     use nessa_tensor::rng::Rng64;
+
+    /// Materializes the flattened outer products: row `i` is
+    /// `vec(residual_i ⊗ feature_i)` of length `classes × feature_dim`.
+    /// Euclidean distances over these rows equal the last-layer gradient
+    /// distances CRAIG's facility location consumes; the oracle the
+    /// factored path is checked against.
+    fn flatten_outer(p: &GradientProxies) -> Tensor {
+        let (n, c) = (p.residuals.dim(0), p.residuals.dim(1));
+        let f = p.features.dim(1);
+        let mut out = Tensor::zeros(&[n, c * f]);
+        for i in 0..n {
+            let res = p.residuals.row(i);
+            let feat = p.features.row(i);
+            let row = out.row_mut(i);
+            for (ci, &r) in res.iter().enumerate() {
+                // nessa-lint: allow(f1-float-eq) — exact-zero skip is a
+                // pure optimization; any nonzero residual takes the slow
+                // path and computes the same product.
+                if r == 0.0 {
+                    continue;
+                }
+                let dst = &mut row[ci * f..(ci + 1) * f];
+                for (d, &x) in dst.iter_mut().zip(feat.iter()) {
+                    *d = r * x;
+                }
+            }
+        }
+        out
+    }
 
     fn setup() -> (Network, Dataset) {
         let mut rng = Rng64::new(0);
@@ -225,7 +191,7 @@ mod tests {
         let (mut net, data) = setup();
         let idx: Vec<usize> = (0..5).collect();
         let p = gradient_proxies(&mut net, &data, &idx, 2);
-        let flat = p.flatten_outer();
+        let flat = flatten_outer(&p);
         assert_eq!(flat.shape().dims(), &[5, 3 * 16]);
         for i in 0..5 {
             for c in 0..3 {
@@ -244,7 +210,7 @@ mod tests {
         let (mut net, data) = setup();
         let idx: Vec<usize> = (0..6).collect();
         let p = gradient_proxies(&mut net, &data, &idx, 3);
-        let flat = p.flatten_outer();
+        let flat = flatten_outer(&p);
         for i in 0..6 {
             for j in 0..6 {
                 let direct = sq_dist(flat.row(i), flat.row(j));
@@ -276,23 +242,11 @@ mod tests {
     }
 
     #[test]
-    fn gradient_norms_match_flattened_norms() {
-        let (mut net, data) = setup();
-        let idx: Vec<usize> = (0..8).collect();
-        let p = gradient_proxies(&mut net, &data, &idx, 4);
-        let flat = p.flatten_outer();
-        for (i, &n) in p.gradient_norms().iter().enumerate() {
-            let direct: f32 = flat.row(i).iter().map(|v| v * v).sum::<f32>().sqrt();
-            assert!((n - direct).abs() < 1e-4, "{n} vs {direct}");
-        }
-    }
-
-    #[test]
     fn batch_size_does_not_change_result() {
         let (mut net, data) = setup();
         let idx: Vec<usize> = (0..30).collect();
-        let a = gradient_proxies(&mut net, &data, &idx, 30).flatten_outer();
-        let b = gradient_proxies(&mut net, &data, &idx, 4).flatten_outer();
+        let a = flatten_outer(&gradient_proxies(&mut net, &data, &idx, 30));
+        let b = flatten_outer(&gradient_proxies(&mut net, &data, &idx, 4));
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert!((x - y).abs() < 1e-6);
         }
@@ -305,29 +259,5 @@ mod tests {
         let p = gradient_proxies(&mut net, &data, &idx, 5);
         let e = embeddings(&mut net, &data, &idx, 3);
         assert_eq!(e.as_slice(), p.features.as_slice());
-    }
-
-    #[test]
-    fn losses_align_with_indices() {
-        let (mut net, data) = setup();
-        let all: Vec<usize> = (0..10).collect();
-        let losses = sample_losses(&mut net, &data, &all, 3);
-        assert_eq!(losses.len(), 10);
-        let rev: Vec<usize> = all.iter().rev().copied().collect();
-        let rev_losses = sample_losses(&mut net, &data, &rev, 3);
-        for i in 0..10 {
-            assert!((losses[i] - rev_losses[9 - i]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn losses_are_positive() {
-        let (mut net, data) = setup();
-        let idx: Vec<usize> = (0..15).collect();
-        let losses = sample_losses(&mut net, &data, &idx, 5);
-        // Cross-entropy is non-negative; an untrained net can be confidently
-        // right on individual samples, where f32 rounds the loss to zero.
-        assert!(losses.iter().all(|&l| l >= 0.0 && l.is_finite()));
-        assert!(losses.iter().any(|&l| l > 0.0));
     }
 }

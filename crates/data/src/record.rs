@@ -274,34 +274,6 @@ pub fn decode_dataset_lossy(name: &str, bytes: &[u8]) -> Result<(Dataset, u64), 
     ))
 }
 
-/// Writes a dataset to a `.nssa` file at `path`.
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-pub fn write_file(dataset: &Dataset, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-    std::fs::write(path, encode_dataset(dataset))
-}
-
-/// Reads a dataset from a `.nssa` file at `path`, naming it after the
-/// file stem.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error, or an
-/// [`InvalidData`](std::io::ErrorKind::InvalidData) error wrapping the
-/// [`RecordError`] when the file is malformed.
-pub fn read_file(path: impl AsRef<std::path::Path>) -> std::io::Result<Dataset> {
-    let path = path.as_ref();
-    let bytes = std::fs::read(path)?;
-    let name = path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("dataset");
-    decode_dataset(name, &bytes)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,24 +410,6 @@ mod tests {
                 assert_eq!(back.len() as u64 + q, d.len() as u64);
             }
         }
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let d = toy();
-        let dir = std::env::temp_dir().join("nessa-record-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("toy.nssa");
-        write_file(&d, &path).unwrap();
-        let back = read_file(&path).unwrap();
-        assert_eq!(back.name(), "toy");
-        assert_eq!(back.features().as_slice(), d.features().as_slice());
-        assert_eq!(back.labels(), d.labels());
-        // A corrupted file surfaces as InvalidData, not a panic.
-        std::fs::write(&path, b"not a record stream").unwrap();
-        let err = read_file(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

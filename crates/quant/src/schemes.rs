@@ -152,14 +152,47 @@ mod tests {
     use super::*;
     use nessa_tensor::rng::Rng64;
 
+    /// The standalone int8 quantizer `Scheme::int8()` replaced, kept as
+    /// its oracle: scale `max|x| / 127` (`1.0` for an all-zero tensor),
+    /// codes `round(x / scale)` clamped to ±127. Returns the dequantized
+    /// values (`q · scale`) and the wire bytes (codes + one f32 scale).
+    fn legacy_int8_round_trip(t: &Tensor) -> (Vec<f32>, usize) {
+        let max_abs = t.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        let scale = if max_abs == 0.0 { 1.0 } else { max_abs / 127.0 };
+        let inv = 1.0 / scale;
+        let codes: Vec<i8> = t
+            .as_slice()
+            .iter()
+            .map(|&v| (v * inv).round().clamp(-127.0, 127.0) as i8)
+            .collect();
+        let back = codes.iter().map(|&q| q as f32 * scale).collect();
+        (back, codes.len() + std::mem::size_of::<f32>())
+    }
+
     #[test]
     fn int8_per_tensor_matches_legacy_quantizer() {
         let mut rng = Rng64::new(0);
-        let t = Tensor::rand_uniform(&[8, 8], -2.0, 2.0, &mut rng);
-        let legacy = crate::QuantizedTensor::quantize(&t).dequantize();
-        let new = SchemeQuantized::quantize(&t, Scheme::int8()).dequantize();
-        for (a, b) in legacy.as_slice().iter().zip(new.as_slice()) {
-            assert!((a - b).abs() < 1e-6);
+        let mut inputs: Vec<Tensor> = [&[0usize][..], &[1], &[7, 3], &[8, 8], &[256, 256]]
+            .iter()
+            .map(|dims| Tensor::rand_uniform(dims, -2.0, 2.0, &mut rng))
+            .collect();
+        inputs.push(Tensor::zeros(&[8, 8]));
+        for t in &inputs {
+            let (legacy, legacy_bytes) = legacy_int8_round_trip(t);
+            let q = SchemeQuantized::quantize(t, Scheme::int8());
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(q.dequantize().as_slice()),
+                bits(&legacy),
+                "shape {:?}",
+                t.shape().dims()
+            );
+            assert_eq!(
+                q.payload_bytes(),
+                legacy_bytes,
+                "shape {:?}",
+                t.shape().dims()
+            );
         }
     }
 

@@ -9,9 +9,8 @@
 //! quadratic similarity computation into a sum of small quadratics.
 
 use crate::facility::{maximize_metered, GreedyVariant, SimilarityMatrix};
-use crate::fraction_count;
 use crate::metrics::SelectMetrics;
-use crate::{SelectError, Selection};
+use crate::{fraction_count, group_by_class, SelectError, Selection};
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
 
@@ -73,34 +72,6 @@ pub fn select_per_class(
     let sim_of =
         |members: &[usize]| SimilarityMatrix::from_features(&features.gather_rows(members));
     run_per_class(&sim_of, &by_class, fraction, options, rng)
-}
-
-/// Validates the shared per-class preconditions and groups candidate
-/// indices by class.
-fn group_by_class(
-    rows: usize,
-    labels: &[usize],
-    classes: usize,
-    fraction: f32,
-) -> Result<Vec<Vec<usize>>, SelectError> {
-    if rows != labels.len() {
-        return Err(SelectError::LengthMismatch {
-            what: "labels",
-            expected: rows,
-            actual: labels.len(),
-        });
-    }
-    if !(fraction > 0.0 && fraction <= 1.0) {
-        return Err(SelectError::BadFraction(fraction));
-    }
-    if let Some(&label) = labels.iter().find(|&&y| y >= classes) {
-        return Err(SelectError::LabelOutOfRange { label, classes });
-    }
-    let mut by_class = vec![Vec::new(); classes];
-    for (i, &y) in labels.iter().enumerate() {
-        by_class[y].push(i);
-    }
-    Ok(by_class)
 }
 
 /// Runs the per-class selection bodies in class order. RNGs are

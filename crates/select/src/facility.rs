@@ -93,20 +93,6 @@ impl SimilarityMatrix {
         Self { n, sim }
     }
 
-    /// Builds directly from a precomputed squared-distance matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dists` is not square.
-    pub fn from_sq_dists(dists: &Tensor) -> Self {
-        assert_eq!(dists.ndim(), 2, "distance matrix must be 2-D");
-        assert_eq!(dists.dim(0), dists.dim(1), "distance matrix must be square");
-        let n = dists.dim(0);
-        let c0 = dists.max().max(0.0);
-        let sim = dists.as_slice().iter().map(|&v| c0 - v).collect();
-        Self { n, sim }
-    }
-
     /// Number of candidates.
     pub fn len(&self) -> usize {
         self.n

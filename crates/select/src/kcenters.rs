@@ -7,7 +7,7 @@
 //! small subset sizes — it chases outliers instead of covering mass — is
 //! exactly what those comparisons show.
 
-use crate::{fraction_count, Selection};
+use crate::{fraction_count, group_by_class, SelectError, Selection};
 use nessa_tensor::linalg::sq_dist;
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
@@ -63,27 +63,19 @@ pub fn select(features: &Tensor, k: usize, rng: &mut Rng64) -> Selection {
 /// Selects `⌈fraction · |class|⌉` centres within each class, mirroring the
 /// per-class protocol used for CRAIG so the baselines are comparable.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the label count differs from the rows, `fraction` is outside
-/// `(0, 1]`, or any label is `≥ classes`.
+/// The same input checks as [`crate::craig::select_per_class`]: a label
+/// count that differs from the rows, a `fraction` outside `(0, 1]`, or a
+/// label `≥ classes`.
 pub fn select_per_class(
     features: &Tensor,
     labels: &[usize],
     classes: usize,
     fraction: f32,
     rng: &mut Rng64,
-) -> Selection {
-    assert_eq!(features.dim(0), labels.len(), "label count mismatch");
-    assert!(
-        fraction > 0.0 && fraction <= 1.0,
-        "fraction must be in (0, 1], got {fraction}"
-    );
-    assert!(labels.iter().all(|&y| y < classes), "label out of range");
-    let mut by_class = vec![Vec::new(); classes];
-    for (i, &y) in labels.iter().enumerate() {
-        by_class[y].push(i);
-    }
+) -> Result<Selection, SelectError> {
+    let by_class = group_by_class(features.dim(0), labels, classes, fraction)?;
     let mut merged = Selection::default();
     for members in &by_class {
         if members.is_empty() {
@@ -93,7 +85,7 @@ pub fn select_per_class(
         let sub = features.gather_rows(members);
         merged.extend(select(&sub, k, rng).into_global(members));
     }
-    merged
+    Ok(merged)
 }
 
 /// The k-center objective: maximum distance² from any candidate to its
@@ -228,7 +220,7 @@ mod tests {
     fn per_class_respects_fraction() {
         let x = clusters();
         let labels: Vec<usize> = (0..20).map(|i| i / 10).collect();
-        let sel = select_per_class(&x, &labels, 2, 0.2, &mut Rng64::new(4));
+        let sel = select_per_class(&x, &labels, 2, 0.2, &mut Rng64::new(4)).unwrap();
         assert_eq!(sel.len(), 4);
         let total: f32 = sel.weights.iter().sum();
         assert_eq!(total, 20.0);

@@ -8,7 +8,6 @@
 
 use crate::Selection;
 use nessa_tensor::linalg::{cross_sq_dists, pairwise_sq_dists};
-use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
 
 /// The k-medoid cost: sum over candidates of the distance² to the nearest
@@ -80,16 +79,6 @@ pub fn refine(features: &Tensor, start: &[usize], max_iters: usize) -> Selection
     Selection::new(medoids, weights)
 }
 
-/// Random-init k-medoids: sample `k` distinct starts and refine.
-pub fn kmedoids(features: &Tensor, k: usize, max_iters: usize, rng: &mut Rng64) -> Selection {
-    let n = features.dim(0);
-    if n == 0 || k == 0 {
-        return Selection::default();
-    }
-    let start = rng.sample_indices(n, k.min(n));
-    refine(features, &start, max_iters)
-}
-
 fn assignments(dists: &Tensor, medoids: &[usize], n: usize) -> Vec<usize> {
     (0..n)
         .map(|i| {
@@ -144,8 +133,7 @@ mod tests {
     #[test]
     fn weights_sum_to_n() {
         let x = blobs();
-        let mut rng = Rng64::new(0);
-        let sel = kmedoids(&x, 2, 10, &mut rng);
+        let sel = refine(&x, &[0, 1], 10);
         let total: f32 = sel.weights.iter().sum();
         assert_eq!(total, 12.0);
     }
@@ -155,6 +143,7 @@ mod tests {
         // Selecting by facility-location greedy then refining with
         // k-medoids should barely improve the cost on clustered data.
         use crate::facility::{maximize, GreedyVariant, SimilarityMatrix};
+        use nessa_tensor::rng::Rng64;
         let x = blobs();
         let sim = SimilarityMatrix::from_features(&x);
         let mut rng = Rng64::new(1);
@@ -175,8 +164,6 @@ mod tests {
     fn empty_and_degenerate_inputs() {
         let empty = Tensor::zeros(&[0, 2]);
         assert!(refine(&empty, &[], 5).is_empty());
-        let mut rng = Rng64::new(2);
-        assert!(kmedoids(&empty, 3, 5, &mut rng).is_empty());
         let x = blobs();
         assert_eq!(cost(&x, &[]), f32::INFINITY);
         assert_eq!(cost(&empty, &[]), 0.0);

@@ -12,12 +12,18 @@
 //!   dataset-partitioning option (§3.2.3),
 //! * [`kcenters`] — the K-Centers baseline of Sener & Savarese
 //!   (farthest-first traversal, a 2-approximation),
-//! * [`kmedoids`] — an alternating k-medoids refiner used for
-//!   cross-checking the facility-location solutions,
-//! * [`random`] — the uniform random baseline.
+//! * [`kmedoids`] — the k-medoid cost and an alternating refiner of a
+//!   given medoid set, used to cross-check the facility-location
+//!   solutions,
+//! * [`random`] — the uniform random baseline, also the pipeline's
+//!   last-resort fallback.
 //!
 //! All algorithms consume a row-per-sample feature matrix (in NeSSA those
-//! rows are last-layer gradient proxies) and return a [`Selection`].
+//! rows are last-layer gradient proxies) and return a [`Selection`]. The
+//! three per-class selectors (`craig`, `kcenters` and `random`
+//! `select_per_class`) share one input check and return a typed
+//! [`SelectError`] rather than panicking on a bad fraction, label or
+//! length.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -105,6 +111,41 @@ pub fn fraction_count(n: usize, fraction: f32) -> usize {
     // Relative tolerance absorbs the f32→f64 widening error of fractions
     // like 0.3 (whose f32 value is slightly above 0.3) at any pool size.
     ((exact * (1.0 - 1e-6)).ceil() as usize).clamp(1, n)
+}
+
+/// Validates the preconditions every per-class selector shares (CRAIG,
+/// k-centers, random) and groups the candidate indices by class.
+///
+/// # Errors
+///
+/// [`SelectError::LengthMismatch`] if `rows` differs from the label
+/// count, [`SelectError::BadFraction`] if `fraction` is outside `(0, 1]`
+/// (NaN included), [`SelectError::LabelOutOfRange`] if any label is
+/// `≥ classes`.
+pub(crate) fn group_by_class(
+    rows: usize,
+    labels: &[usize],
+    classes: usize,
+    fraction: f32,
+) -> Result<Vec<Vec<usize>>, SelectError> {
+    if rows != labels.len() {
+        return Err(SelectError::LengthMismatch {
+            what: "labels",
+            expected: rows,
+            actual: labels.len(),
+        });
+    }
+    if !(fraction > 0.0 && fraction <= 1.0) {
+        return Err(SelectError::BadFraction(fraction));
+    }
+    if let Some(&label) = labels.iter().find(|&&y| y >= classes) {
+        return Err(SelectError::LabelOutOfRange { label, classes });
+    }
+    let mut by_class = vec![Vec::new(); classes];
+    for (i, &y) in labels.iter().enumerate() {
+        by_class[y].push(i);
+    }
+    Ok(by_class)
 }
 
 /// A selected subset: sample indices plus per-sample weights.

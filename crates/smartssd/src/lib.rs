@@ -8,7 +8,8 @@
 //! measures:
 //!
 //! * [`clock`] — the simulated nanosecond clock every component advances,
-//! * [`nand`] — the flash array (channel-interleaved page reads),
+//! * [`nand`] — the flash array (channel-interleaved sequential page
+//!   reads, and the scattered reads a host-side sampler would issue),
 //! * [`pcie`] — link models for the host-staged path (~1.4 GB/s effective)
 //!   and the on-board P2P path (up to 3 GB/s, saturating with record size
 //!   exactly as the paper's Figure 6 reports),
@@ -35,7 +36,6 @@ pub mod device;
 pub mod energy;
 pub mod fault;
 pub mod fpga;
-pub mod ftl;
 pub mod nand;
 pub mod pcie;
 pub mod resources;

@@ -95,15 +95,43 @@ impl NandArray {
         // Pages are spread over channels×dies ways; within a pipeline the
         // throughput per channel is limited by the slower of sensing
         // (amortized over the dies sharing the channel) and the transfer.
-        let ways = (self.config.channels * self.config.dies_per_channel) as f64;
         let sense_per_page = self.config.t_r_secs / self.config.dies_per_channel as f64;
         let xfer_per_page = self.config.page_bytes as f64 / self.config.channel_bytes_per_s;
         let per_page_channel_time = sense_per_page.max(xfer_per_page);
         let pages_per_channel = (pages as f64 / self.config.channels as f64).ceil();
         // Pipeline fill: first page pays full sense + transfer.
         let fill = self.config.t_r_secs + xfer_per_page;
-        let _ = ways;
         fill + (pages_per_channel - 1.0).max(0.0) * per_page_channel_time
+    }
+
+    /// Seconds to read an arbitrary set of pages — the random-access
+    /// pattern of a host-side sampler, against [`NandArray::read`]'s
+    /// sequential scan. Page `p` sits on channel `p % channels` and the
+    /// channels run in parallel, but scattered pages cannot amortize
+    /// sensing across a die pipeline: every page pays the full `t_R` plus
+    /// its transfer on its channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any page lies beyond the configured capacity.
+    pub fn read_scattered(&mut self, pages: &[usize]) -> f64 {
+        let page_bytes = self.config.page_bytes as u64;
+        let capacity_pages = self.config.capacity_bytes / page_bytes;
+        let mut per_channel = vec![0u64; self.config.channels];
+        for &page in pages {
+            assert!(
+                (page as u64) < capacity_pages,
+                "page {page} beyond the {capacity_pages}-page capacity"
+            );
+            per_channel[page % self.config.channels] += 1;
+        }
+        self.pages_read += pages.len() as u64;
+        self.bytes_read += pages.len() as u64 * page_bytes;
+        let xfer_per_page = self.config.page_bytes as f64 / self.config.channel_bytes_per_s;
+        per_channel
+            .iter()
+            .map(|&n| n as f64 * (self.config.t_r_secs + xfer_per_page))
+            .fold(0.0, f64::max)
     }
 
     /// Seconds to program (write) `bytes` of sequentially-laid-out data,
@@ -224,6 +252,33 @@ mod tests {
         let mut nand = NandArray::default();
         assert_eq!(nand.read(0), 0.0);
         assert_eq!(nand.bytes_read(), 0);
+    }
+
+    #[test]
+    fn sequential_beats_scattered() {
+        let page = NandConfig::default().page_bytes as u64;
+        let seq = NandArray::default().read(256 * page);
+        let pages: Vec<usize> = (0..256).collect();
+        let scat = NandArray::default().read_scattered(&pages);
+        assert!(
+            scat > 2.0 * seq,
+            "scattered {scat}s should cost well over sequential {seq}s"
+        );
+    }
+
+    #[test]
+    fn scattered_pages_stripe_round_robin() {
+        let cfg = NandConfig::default();
+        let per_page = cfg.t_r_secs + cfg.page_bytes as f64 / cfg.channel_bytes_per_s;
+        let mut nand = NandArray::default();
+        // One page on every channel: the channels overlap fully.
+        let spread: Vec<usize> = (0..cfg.channels).collect();
+        assert_eq!(nand.read_scattered(&spread), per_page);
+        // Pages `channels` apart share channel 0 and serialize.
+        let same: Vec<usize> = (0..4).map(|i| i * cfg.channels).collect();
+        assert_eq!(nand.read_scattered(&same), 4.0 * per_page);
+        assert_eq!(nand.read_scattered(&[]), 0.0);
+        assert_eq!(nand.pages_read(), cfg.channels as u64 + 4);
     }
 
     #[test]

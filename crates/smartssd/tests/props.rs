@@ -1,8 +1,6 @@
 //! Property tests for the device simulator.
 
 use nessa_smartssd::fpga::{FpgaSpec, KernelProfile};
-use nessa_smartssd::ftl::Ftl;
-use nessa_smartssd::nand::NandConfig;
 use nessa_smartssd::{LinkModel, SmartSsd, SmartSsdConfig};
 use proptest::prelude::*;
 
@@ -87,24 +85,5 @@ proptest! {
             k_per_chunk: 1,
         };
         prop_assert!(p.check_fit(&spec).is_ok());
-    }
-
-    #[test]
-    fn ftl_sequential_time_monotone_in_pages(
-        p1 in 1usize..2_000, p2 in 1usize..2_000
-    ) {
-        let (lo, hi) = (p1.min(p2), p1.max(p2));
-        let mut a = Ftl::format(NandConfig::default(), 4_096);
-        let mut b = Ftl::format(NandConfig::default(), 4_096);
-        prop_assert!(a.read_pages(0, lo) <= b.read_pages(0, hi) + 1e-12);
-    }
-
-    #[test]
-    fn ftl_wear_total_equals_reads(pages in prop::collection::vec(0usize..128, 1..64)) {
-        let mut ftl = Ftl::format(NandConfig::default(), 128);
-        ftl.read_scattered(&pages);
-        // Mean wear × page count = total reads issued.
-        let total = (ftl.mean_wear() * 128.0).round() as usize;
-        prop_assert_eq!(total, pages.len());
     }
 }

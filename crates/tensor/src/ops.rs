@@ -123,16 +123,6 @@ pub fn add_bias_rows(x: &mut Tensor, bias: &Tensor) {
     }
 }
 
-/// Clips every element into `[-limit, limit]`; used for gradient clipping.
-///
-/// # Panics
-///
-/// Panics if `limit` is not positive.
-pub fn clip_inplace(x: &mut Tensor, limit: f32) {
-    assert!(limit > 0.0, "clip limit must be positive");
-    x.map_inplace(|v| v.clamp(-limit, limit));
-}
-
 /// Per-row L2 norms of a 2-D tensor.
 ///
 /// # Panics
@@ -213,12 +203,11 @@ mod tests {
     }
 
     #[test]
-    fn bias_and_clip() {
+    fn bias_adds_to_every_row() {
         let mut x = Tensor::zeros(&[2, 3]);
         add_bias_rows(&mut x, &Tensor::from_slice(&[1.0, -2.0, 5.0]));
+        assert_eq!(x.row(0), &[1.0, -2.0, 5.0]);
         assert_eq!(x.row(1), &[1.0, -2.0, 5.0]);
-        clip_inplace(&mut x, 2.0);
-        assert_eq!(x.row(0), &[1.0, -2.0, 2.0]);
     }
 
     #[test]
