@@ -64,14 +64,41 @@ fn bench_factored_build(c: &mut Criterion) {
     });
 }
 
-/// The proxy forward's final layer: 8000 penultimate activations (96
-/// wide) against the 10×96 output weights.
+/// Every shape the tiled matmul kernel serves in production: the
+/// `select_heavy` proxy forward's final layer (8000 penultimate
+/// activations, 96 wide, against the 10×96 output weights); the
+/// `wide_model_overlap` 256×256 hidden layer at batch 16, forward,
+/// input gradient (ReLU-sparse, as in backward) and fused weight
+/// gradient; and the 100×32 self-product of the `linalg` distance
+/// kernels.
 fn bench_proxy_matmul(c: &mut Criterion) {
     let mut rng = Rng64::new(13);
     let acts = Tensor::randn(&[8000, 96], 0.0, 1.0, &mut rng);
     let weights = Tensor::randn(&[10, 96], 0.0, 0.1, &mut rng);
     c.bench_function("matmul_transb_8000x96_by_10x96", |b| {
         b.iter(|| black_box(black_box(&acts).matmul_transb(black_box(&weights))))
+    });
+
+    let x = Tensor::randn(&[16, 256], 0.0, 1.0, &mut rng).map(|v| v.max(0.0));
+    let w = Tensor::randn(&[256, 256], 0.0, 0.09, &mut rng);
+    let g = Tensor::randn(&[16, 256], 0.0, 0.01, &mut rng)
+        .try_zip(&x, "relu-mask", |g, x| if x > 0.0 { g } else { 0.0 })
+        .unwrap();
+    c.bench_function("forward_matmul_transb_16x256_by_256x256", |b| {
+        b.iter(|| black_box(black_box(&x).matmul_transb(black_box(&w))))
+    });
+    c.bench_function("dx_matmul_16x256_by_256x256", |b| {
+        b.iter(|| black_box(black_box(&g).matmul(black_box(&w))))
+    });
+    let mut grad = Tensor::zeros(&[256, 256]);
+    c.bench_function("dw_add_matmul_transa_16x256_by_16x256", |b| {
+        b.iter(|| grad.add_matmul_transa(black_box(&g), black_box(&x)))
+    });
+    black_box(&grad);
+
+    let points = clustered(100, 32, 14);
+    c.bench_function("self_matmul_transb_100x32", |b| {
+        b.iter(|| black_box(black_box(&points).matmul_transb(black_box(&points))))
     });
 }
 

@@ -25,20 +25,23 @@ impl Param {
         Self { value, grad }
     }
 
-    /// Resets the gradient to zero.
+    /// Resets the gradient to zero in place.
     pub fn zero_grad(&mut self) {
-        self.grad = Tensor::zeros(self.value.shape().dims());
+        self.grad.as_mut_slice().fill(0.0);
     }
 }
 
 /// A differentiable network layer.
 ///
-/// Layers are stateful: `forward` caches activations, `backward` must be
-/// called with the gradient of the loss w.r.t. the layer's output *after*
-/// the corresponding `forward`, and returns the gradient w.r.t. the input.
+/// Layers are stateful: a training `forward` caches activations, `backward`
+/// must be called with the gradient of the loss w.r.t. the layer's output
+/// *after* the corresponding training `forward`, and returns the gradient
+/// w.r.t. the input.
 pub trait Layer: Send {
-    /// Runs the layer on a batch. `train` marks a training pass; no
-    /// current layer behaves differently in evaluation.
+    /// Runs the layer on a batch. `train` marks a training pass. An
+    /// evaluation pass (`train == false`) computes the same output but
+    /// caches nothing, so [`Layer::backward`] must not follow it; the
+    /// selection proxy forward and `evaluate` never call backward.
     ///
     /// The `Send` supertrait lets a whole [`crate::models::Network`]
     /// move to a worker thread (layers are plain tensors), which the
@@ -109,12 +112,12 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.ndim(), 2, "Linear expects a 2-D batch");
         assert_eq!(x.dim(1), self.in_features, "Linear input width mismatch");
         let mut y = x.matmul_transb(&self.weight.value);
         add_bias_rows(&mut y, &self.bias.value);
-        self.cached_input = Some(x.clone());
+        self.cached_input = train.then(|| x.clone());
         y
     }
 
@@ -123,9 +126,8 @@ impl Layer for Linear {
             .cached_input
             .as_ref()
             .expect("Linear::backward before forward");
-        // dW = g^T x ; db = sum_rows(g) ; dx = g W
-        let gw = grad_out.matmul_transa(x);
-        self.weight.grad += &gw;
+        // dW += g^T x ; db = sum_rows(g) ; dx = g W
+        self.weight.grad.add_matmul_transa(grad_out, x);
         self.bias.grad += &sum_axis0(grad_out);
         grad_out.matmul(&self.weight.value)
     }
@@ -158,8 +160,8 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.cached_input = Some(x.clone());
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        self.cached_input = train.then(|| x.clone());
         x.map(|v| v.max(0.0))
     }
 
@@ -299,11 +301,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "Linear::backward before forward")]
+    fn evaluation_forward_caches_nothing() {
+        let mut rng = Rng64::new(5);
+        let mut l = Linear::new(3, 2, &mut rng);
+        let x = Tensor::ones(&[1, 3]);
+        let _ = l.forward(&x, true);
+        let eval = l.forward(&x, false);
+        assert!(l.cached_input.is_none());
+        assert_eq!(eval, l.forward(&x, true));
+        let _ = l.forward(&x, false);
+        let _ = l.backward(&Tensor::ones(&[1, 2]));
+    }
+
+    #[test]
     fn param_zero_grad() {
         let mut p = Param::new(Tensor::ones(&[3]));
         p.grad = Tensor::ones(&[3]);
         p.zero_grad();
         assert_eq!(p.grad.sum(), 0.0);
+        assert_eq!(p.grad.shape().dims(), &[3]);
     }
 
     #[test]

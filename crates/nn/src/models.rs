@@ -55,17 +55,20 @@ impl Network {
         self.layers.is_empty()
     }
 
-    /// Full forward pass.
+    /// Full forward pass. The input to the last layer is kept for
+    /// [`Network::forward_with_features`].
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut h = x.clone();
-        let last = self.layers.len().saturating_sub(1);
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            if i == last {
-                self.cached_features = Some(h.clone());
-            }
-            h = layer.forward(&h, train);
+        let Some((head, body)) = self.layers.split_last_mut() else {
+            return x.clone();
+        };
+        let mut h: Option<Tensor> = None;
+        for layer in body {
+            h = Some(layer.forward(h.as_ref().unwrap_or(x), train));
         }
-        h
+        let features = h.unwrap_or_else(|| x.clone());
+        let logits = head.forward(&features, train);
+        self.cached_features = Some(features);
+        logits
     }
 
     /// Forward pass that also returns the penultimate activations
@@ -76,7 +79,7 @@ impl Network {
         let logits = self.forward(x, train);
         let features = self
             .cached_features
-            .clone()
+            .take()
             .expect("forward_with_features on an empty network");
         (features, logits)
     }
@@ -207,6 +210,13 @@ mod tests {
         let (feats, logits) = net.forward_with_features(&x, false);
         assert_eq!(feats.shape().dims(), &[4, 12]);
         assert_eq!(logits.shape().dims(), &[4, 3]);
+        // The features are the ReLU output, and a second call returns the
+        // same pair (the cache is refilled by every forward).
+        assert!(feats.as_slice().iter().all(|&v| v >= 0.0));
+        assert_eq!(net.forward_with_features(&x, true), (feats, logits));
+        // A one-layer network's features are its input.
+        let mut linear = mlp(&[6, 3], &mut rng);
+        assert_eq!(linear.forward_with_features(&x, false).0, x);
     }
 
     #[test]

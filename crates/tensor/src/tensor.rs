@@ -1,9 +1,14 @@
 //! The dense row-major `f32` tensor.
 
+use crate::gemm::{gemm, Dest, Mat, MR, NR};
 use crate::rng::Rng64;
 use crate::shape::{Shape, ShapeError};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
+
+/// Rows of the left operand [`Tensor::matmul_transb`] transposes at a time,
+/// which bounds its scratch to `k × 64` values.
+const TRANSB_BLOCK_ROWS: usize = 64;
 
 /// A dense, row-major tensor of `f32` values.
 ///
@@ -216,7 +221,9 @@ impl Tensor {
 
     /// Matrix product of two 2-D tensors: `self (m×k) · other (k×n)`.
     ///
-    /// Uses an i-k-j loop order so the inner loop streams both operands.
+    /// Serves the linear layers' input gradient `dx = g · W`. Like every
+    /// entry point of the tiled kernel, each output sums `a·b` over k in
+    /// sequential order from `0.0`, with no FMA and no zero-skip.
     ///
     /// # Panics
     ///
@@ -228,31 +235,24 @@ impl Tensor {
         let (k2, n) = (other.dim(0), other.dim(1));
         assert_eq!(k, k2, "matmul inner dimensions differ: {k} vs {k2}");
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let o_row = &mut out[i * n..(i + 1) * n];
-            for (p, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in o_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
+        let mut dest = Dest {
+            data: &mut out,
+            stride: n,
+            transposed: false,
+        };
+        gemm::<MR, NR>(self.mat(), other.mat(), m, n, k, &mut dest);
         Tensor::from_vec(out, &[m, n])
     }
 
     /// `self (m×k) · otherᵀ` where `other` is `n×k`.
     ///
-    /// Transposes `other` once, then runs an i-k-j loop whose inner loop
-    /// sweeps a contiguous output row, so it vectorizes across output
-    /// columns. Every output still accumulates `0.0 + a·b` over k in
-    /// sequential order with no FMA and no zero-skip, so results are
-    /// bit-identical to one scalar sequential dot per output. Serves the
-    /// linear layers' forward pass, the selection proxy forward, and the
-    /// distance kernels in [`crate::linalg`].
+    /// Serves the linear layers' forward pass (with `other` the weight),
+    /// the selection proxy forward, `evaluate`, and the distance kernels in
+    /// [`crate::linalg`]. It computes `outᵀ = other · selfᵀ`: the rows of
+    /// `other` are the broadcast operand, read in place, and only blocks of
+    /// at most 64 rows of `self` are transposed so that the tile streams
+    /// along them. Each output sums `a·b` over k in sequential order from
+    /// `0.0`, with no FMA and no zero-skip.
     ///
     /// # Panics
     ///
@@ -263,22 +263,25 @@ impl Tensor {
         let (m, k) = (self.dim(0), self.dim(1));
         let (n, k2) = (other.dim(0), other.dim(1));
         assert_eq!(k, k2, "matmul_transb inner dimensions differ: {k} vs {k2}");
-        let bt = other.transpose();
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let o_row = &mut out[i * n..(i + 1) * n];
-            for (p, &a) in a_row.iter().enumerate() {
-                let bt_row = &bt.data[p * n..(p + 1) * n];
-                for (o, &b) in o_row.iter_mut().zip(bt_row) {
-                    *o += a * b;
-                }
-            }
+        let mut block = vec![0.0f32; k * m.min(TRANSB_BLOCK_ROWS)];
+        for i0 in (0..m).step_by(TRANSB_BLOCK_ROWS) {
+            let rows = TRANSB_BLOCK_ROWS.min(m - i0);
+            let block = transpose_into(&self.data[i0 * k..(i0 + rows) * k], rows, k, &mut block);
+            let mut dest = Dest {
+                data: &mut out[i0 * n..],
+                stride: n,
+                transposed: true,
+            };
+            gemm::<MR, NR>(other.mat(), block, n, rows, k, &mut dest);
         }
         Tensor::from_vec(out, &[m, n])
     }
 
     /// `selfᵀ (k×m) · other (k×n)` producing `m×n`.
+    ///
+    /// See [`Tensor::add_matmul_transa`], which adds the same product into
+    /// an existing tensor.
     ///
     /// # Panics
     ///
@@ -286,27 +289,53 @@ impl Tensor {
     pub fn matmul_transa(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.ndim(), 2, "matmul_transa lhs must be 2-D");
         assert_eq!(other.ndim(), 2, "matmul_transa rhs must be 2-D");
-        let (k, m) = (self.dim(0), self.dim(1));
-        let (k2, n) = (other.dim(0), other.dim(1));
+        let mut out = Tensor::zeros(&[self.dim(1), other.dim(1)]);
+        out.add_matmul_transa(self, other);
+        out
+    }
+
+    /// `self += aᵀ (k×m) · b (k×n)`, where `self` is `m×n`.
+    ///
+    /// Serves the linear layers' weight gradient `dW += gᵀ · x`. Each
+    /// product entry sums `a·b` over k in sequential order from `0.0`, with
+    /// no FMA and no zero-skip, and is then added to `self` once, so the
+    /// result is bit-identical to `*self += &a.matmul_transa(b)` without
+    /// the temporary.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank or leading-dimension mismatch, or if `self` is not
+    /// `m×n`.
+    pub fn add_matmul_transa(&mut self, a: &Tensor, b: &Tensor) {
+        assert_eq!(a.ndim(), 2, "matmul_transa lhs must be 2-D");
+        assert_eq!(b.ndim(), 2, "matmul_transa rhs must be 2-D");
+        let (k, m) = (a.dim(0), a.dim(1));
+        let (k2, n) = (b.dim(0), b.dim(1));
         assert_eq!(
             k, k2,
             "matmul_transa leading dimensions differ: {k} vs {k2}"
         );
-        let mut out = vec![0.0f32; m * n];
-        for p in 0..k {
-            let a_row = &self.data[p * m..(p + 1) * m];
-            let b_row = &other.data[p * n..(p + 1) * n];
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let o_row = &mut out[i * n..(i + 1) * n];
-                for (o, &b) in o_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
+        assert_eq!(
+            self.shape.dims(),
+            &[m, n],
+            "add_matmul_transa destination must be {m}x{n}"
+        );
+        let mut at = vec![0.0f32; m * k];
+        let at = transpose_into(&a.data, k, m, &mut at);
+        let mut dest = Dest {
+            data: &mut self.data,
+            stride: n,
+            transposed: false,
+        };
+        gemm::<MR, NR>(at, b.mat(), m, n, k, &mut dest);
+    }
+
+    /// A 2-D tensor's buffer as a [`Mat`] with the same rows.
+    fn mat(&self) -> Mat<'_> {
+        Mat {
+            data: &self.data,
+            stride: self.dim(1),
         }
-        Tensor::from_vec(out, &[m, n])
     }
 
     /// Transpose of a 2-D tensor.
@@ -318,11 +347,7 @@ impl Tensor {
         assert_eq!(self.ndim(), 2, "transpose requires a 2-D tensor");
         let (m, n) = (self.dim(0), self.dim(1));
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
+        transpose_into(&self.data, m, n, &mut out);
         Tensor::from_vec(out, &[n, m])
     }
 
@@ -466,6 +491,20 @@ impl Tensor {
     }
 }
 
+/// Writes the transpose of the row-major `rows × cols` matrix `src` into
+/// the front of `buf` and returns it as a `cols × rows` [`Mat`].
+fn transpose_into<'a>(src: &[f32], rows: usize, cols: usize, buf: &'a mut [f32]) -> Mat<'a> {
+    for (i, src_row) in src.chunks_exact(cols.max(1)).enumerate() {
+        for (p, &v) in src_row.iter().enumerate() {
+            buf[p * rows + i] = v;
+        }
+    }
+    Mat {
+        data: &buf[..rows * cols],
+        stride: rows,
+    }
+}
+
 impl Add<&Tensor> for &Tensor {
     type Output = Tensor;
 
@@ -528,19 +567,23 @@ mod tests {
     use crate::rng::Rng64;
     use proptest::prelude::*;
 
-    /// The one-sequential-dot-per-output kernel `matmul_transb` replaced,
-    /// kept as its bit-exactness oracle.
-    fn matmul_transb_oracle(a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, k) = (a.dim(0), a.dim(1));
-        let n = b.dim(0);
+    /// One sequential dot per output: `Σ_p a(i, p) · b(p, j)` from `0.0`,
+    /// `p` ascending, no FMA and no zero-skip. The bit-exactness oracle of
+    /// every matmul entry point; `a_at` and `b_at` give each entry point's
+    /// operand layout.
+    fn sequential_dots(
+        m: usize,
+        n: usize,
+        k: usize,
+        a_at: impl Fn(usize, usize) -> f32,
+        b_at: impl Fn(usize, usize) -> f32,
+    ) -> Tensor {
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
-            let a_row = &a.data[i * k..(i + 1) * k];
             for j in 0..n {
-                let b_row = &b.data[j * k..(j + 1) * k];
                 let mut acc = 0.0f32;
-                for (&x, &y) in a_row.iter().zip(b_row.iter()) {
-                    acc += x * y;
+                for p in 0..k {
+                    acc += a_at(i, p) * b_at(p, j);
                 }
                 out[i * n + j] = acc;
             }
@@ -548,11 +591,36 @@ mod tests {
         Tensor::from_vec(out, &[m, n])
     }
 
+    /// `a (m×k) · b (k×n)`.
+    fn matmul_oracle(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k, n) = (a.dim(0), a.dim(1), b.dim(1));
+        sequential_dots(m, n, k, |i, p| a.data[i * k + p], |p, j| b.data[p * n + j])
+    }
+
+    /// `aᵀ · b` for `a (k×m)`, `b (k×n)`.
+    fn matmul_transa_oracle(a: &Tensor, b: &Tensor) -> Tensor {
+        let (k, m, n) = (a.dim(0), a.dim(1), b.dim(1));
+        sequential_dots(m, n, k, |i, p| a.data[p * m + i], |p, j| b.data[p * n + j])
+    }
+
+    /// `a · bᵀ` for `a (m×k)`, `b (n×k)`.
+    fn matmul_transb_oracle(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k, n) = (a.dim(0), a.dim(1), b.dim(0));
+        sequential_dots(m, n, k, |i, p| a.data[i * k + p], |p, j| b.data[j * k + p])
+    }
+
+    /// `dest + aᵀ · b`, one add per element after the sum.
+    fn add_matmul_transa_oracle(dest: &Tensor, a: &Tensor, b: &Tensor) -> Tensor {
+        dest + &matmul_transa_oracle(a, b)
+    }
+
     /// Row counts the bit-exactness properties draw from: empty, single,
-    /// pair, odd, and the production chunk size.
-    const ROWS: [usize; 6] = [0, 1, 2, 7, 33, 100];
-    /// Inner widths, including the degenerate empty one.
-    const WIDTHS: [usize; 5] = [0, 1, 3, 10, 96];
+    /// the tile sizes (4, 8) and their neighbours, one past the 64-row
+    /// transpose block, and the production chunk size.
+    const ROWS: [usize; 9] = [0, 1, 2, 4, 7, 8, 33, 65, 100];
+    /// Inner widths, including the degenerate empty one and the 32- and
+    /// 96-wide production features.
+    const WIDTHS: [usize; 6] = [0, 1, 3, 10, 32, 96];
 
     /// A `rows × width` tensor mixing the inputs that expose rounding
     /// differences: dense normal rows, duplicates of earlier rows,
@@ -594,6 +662,70 @@ mod tests {
             // The self-Gram is what the distance kernels build.
             prop_assert_eq!(bits(&a.matmul_transb(&a)), bits(&matmul_transb_oracle(&a, &a)));
         }
+
+        #[test]
+        fn matmul_is_bit_identical_to_sequential_dots(
+            m in 0usize..ROWS.len(),
+            n in 0usize..ROWS.len(),
+            k in 0usize..WIDTHS.len(),
+            seed in any::<u64>(),
+        ) {
+            let a = tricky_rows(ROWS[m], WIDTHS[k], seed);
+            let b = tricky_rows(WIDTHS[k], ROWS[n], seed ^ 0x51ed);
+            let fast = a.matmul(&b);
+            prop_assert_eq!(fast.shape().dims(), &[ROWS[m], ROWS[n]]);
+            prop_assert_eq!(bits(&fast), bits(&matmul_oracle(&a, &b)));
+        }
+
+        #[test]
+        fn matmul_transa_and_its_fused_accumulate_are_bit_identical_to_sequential_dots(
+            m in 0usize..ROWS.len(),
+            n in 0usize..ROWS.len(),
+            k in 0usize..ROWS.len(),
+            seed in any::<u64>(),
+        ) {
+            // k is the batch axis here, so it draws from the row counts.
+            let a = tricky_rows(ROWS[k], ROWS[m], seed);
+            let b = tricky_rows(ROWS[k], ROWS[n], seed ^ 0x2545);
+            let fast = a.matmul_transa(&b);
+            prop_assert_eq!(fast.shape().dims(), &[ROWS[m], ROWS[n]]);
+            prop_assert_eq!(bits(&fast), bits(&matmul_transa_oracle(&a, &b)));
+            let mut grad = tricky_rows(ROWS[m], ROWS[n], seed ^ 0x7f4a);
+            let expect = add_matmul_transa_oracle(&grad, &a, &b);
+            grad.add_matmul_transa(&a, &b);
+            prop_assert_eq!(bits(&grad), bits(&expect));
+        }
+    }
+
+    #[test]
+    fn every_entry_point_is_bit_identical_at_production_shapes() {
+        let mut rng = Rng64::new(17);
+        // The wide MLP's 256×256 layer at batch 16, ReLU-sparse input.
+        let x = Tensor::randn(&[16, 256], 0.0, 1.0, &mut rng).map(|v| v.max(0.0));
+        let w = Tensor::randn(&[256, 256], 0.0, 0.09, &mut rng);
+        let g = Tensor::randn(&[16, 256], 0.0, 0.01, &mut rng);
+        assert_eq!(
+            bits(&x.matmul_transb(&w)),
+            bits(&matmul_transb_oracle(&x, &w))
+        );
+        assert_eq!(bits(&g.matmul(&w)), bits(&matmul_oracle(&g, &w)));
+        let mut grad = Tensor::randn(&[256, 256], 0.0, 0.01, &mut rng);
+        let expect = add_matmul_transa_oracle(&grad, &g, &x);
+        grad.add_matmul_transa(&g, &x);
+        assert_eq!(bits(&grad), bits(&expect));
+        // The select_heavy proxy's last layer over a 100-row chunk, and
+        // the 100×32 self-product of the distance kernels.
+        let acts = Tensor::randn(&[100, 96], 0.0, 1.0, &mut rng);
+        let head = Tensor::randn(&[10, 96], 0.0, 0.1, &mut rng);
+        assert_eq!(
+            bits(&acts.matmul_transb(&head)),
+            bits(&matmul_transb_oracle(&acts, &head))
+        );
+        let points = Tensor::randn(&[100, 32], 0.0, 1.0, &mut rng);
+        assert_eq!(
+            bits(&points.matmul_transb(&points)),
+            bits(&matmul_transb_oracle(&points, &points))
+        );
     }
 
     #[test]
@@ -604,6 +736,49 @@ mod tests {
         let fast = a.matmul_transb(&b);
         assert_eq!(bits(&fast), bits(&matmul_transb_oracle(&a, &b)));
         assert!(fast.as_slice()[1].is_nan());
+        // With the operands swapped the zeros sit in the broadcast operand.
+        let swapped = b.matmul_transb(&a);
+        assert_eq!(bits(&swapped), bits(&matmul_transb_oracle(&b, &a)));
+        assert!(swapped.as_slice()[2].is_nan());
+    }
+
+    #[test]
+    fn matmul_propagates_zero_times_inf() {
+        let a = Tensor::from_vec(vec![0.0, 1.0], &[1, 2]);
+        let b = Tensor::from_vec(vec![f32::INFINITY, 2.0, 1.0, 3.0], &[2, 2]);
+        let fast = a.matmul(&b);
+        assert_eq!(bits(&fast), bits(&matmul_oracle(&a, &b)));
+        assert!(fast.as_slice()[0].is_nan());
+        assert_eq!(fast.as_slice()[1], 3.0);
+    }
+
+    #[test]
+    fn matmul_transa_propagates_zero_times_inf() {
+        let a = Tensor::from_vec(vec![-0.0, 1.0], &[2, 1]);
+        let b = Tensor::from_vec(vec![f32::INFINITY, 2.0, 1.0, 3.0], &[2, 2]);
+        let fast = a.matmul_transa(&b);
+        assert_eq!(bits(&fast), bits(&matmul_transa_oracle(&a, &b)));
+        assert!(fast.as_slice()[0].is_nan());
+        assert_eq!(fast.as_slice()[1], 3.0);
+    }
+
+    #[test]
+    fn add_matmul_transa_propagates_zero_times_inf() {
+        let a = Tensor::from_vec(vec![0.0, 1.0], &[2, 1]);
+        let b = Tensor::from_vec(vec![1.0, f32::INFINITY, 1.0, 3.0], &[2, 2]);
+        let mut grad = Tensor::from_vec(vec![0.5, 0.5], &[1, 2]);
+        let expect = add_matmul_transa_oracle(&grad, &a, &b);
+        grad.add_matmul_transa(&a, &b);
+        assert_eq!(bits(&grad), bits(&expect));
+        assert_eq!(grad.as_slice()[0], 1.5);
+        assert!(grad.as_slice()[1].is_nan());
+    }
+
+    #[test]
+    #[should_panic(expected = "destination must be 2x3")]
+    fn add_matmul_transa_rejects_a_misshaped_destination() {
+        let mut grad = Tensor::zeros(&[3, 2]);
+        grad.add_matmul_transa(&Tensor::zeros(&[4, 2]), &Tensor::zeros(&[4, 3]));
     }
 
     #[test]
