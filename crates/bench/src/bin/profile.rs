@@ -244,7 +244,7 @@ fn profile_overlap(settings: TelemetrySettings) {
             .as_ref()
             .expect("overlap mode records a ledger for every epoch");
         assert!(o.staleness <= 1, "feedback may age at most one epoch");
-        serialized += o.sync_secs + o.select_side_secs + o.train_secs + o.handoff_secs;
+        serialized += o.sync_secs + o.select_side_secs + rec.train_secs + o.handoff_secs;
         pipelined += rec.total_secs();
     }
     assert!(
@@ -254,8 +254,11 @@ fn profile_overlap(settings: TelemetrySettings) {
     let hidden: f64 = report
         .epochs
         .iter()
-        .filter_map(|r| r.overlap.as_ref())
-        .map(|o| o.select_side_secs.min(o.train_secs))
+        .filter_map(|r| {
+            r.overlap
+                .as_ref()
+                .map(|o| o.select_side_secs.min(r.train_secs))
+        })
         .sum();
     println!(
         "simulated schedule: serialized {serialized:.6}s, pipelined {pipelined:.6}s \

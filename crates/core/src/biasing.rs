@@ -29,10 +29,9 @@ impl LossTracker {
     /// * `drop_fraction` — fraction of the pool marked per pruning,
     /// * `min_pool` — the pool never shrinks below this many samples.
     ///
-    /// # Panics
-    ///
-    /// Panics if `window` or `drop_every` is zero, or `drop_fraction` is
-    /// outside `[0, 1)`.
+    /// `window` and `drop_every` must be positive and `drop_fraction` in
+    /// `[0, 1)`; the pipeline's values are range-checked by
+    /// [`crate::NessaConfig::validate`].
     pub fn new(
         n: usize,
         window: usize,
@@ -40,12 +39,6 @@ impl LossTracker {
         drop_fraction: f32,
         min_pool: usize,
     ) -> Self {
-        assert!(window > 0, "window must be positive");
-        assert!(drop_every > 0, "drop_every must be positive");
-        assert!(
-            (0.0..1.0).contains(&drop_fraction),
-            "drop_fraction must be in [0, 1)"
-        );
         Self {
             window,
             drop_every,

@@ -6,6 +6,7 @@
 //! degradation ladder could not absorb — surfaces as a [`PipelineError`]
 //! so callers can attribute and report it.
 
+use crate::config::ConfigError;
 use nessa_select::SelectError;
 use nessa_smartssd::fpga::KernelError;
 use nessa_smartssd::{ClusterError, DeviceError};
@@ -13,6 +14,9 @@ use nessa_smartssd::{ClusterError, DeviceError};
 /// Why a pipeline run stopped before completing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PipelineError {
+    /// A [`crate::NessaConfig`] field is out of range; the run did not
+    /// start.
+    Config(ConfigError),
     /// The selection kernel rejected its inputs or broke an invariant.
     Select(SelectError),
     /// The simulated FPGA rejected the kernel profile (typically a chunk
@@ -38,6 +42,7 @@ pub enum PipelineError {
 impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            PipelineError::Config(e) => write!(f, "invalid configuration: {e}"),
             PipelineError::Select(e) => write!(f, "selection failed: {e}"),
             PipelineError::Kernel(e) => write!(f, "selection kernel failed: {e}"),
             PipelineError::Drive { drive, error } => {
@@ -56,6 +61,7 @@ impl std::fmt::Display for PipelineError {
 impl std::error::Error for PipelineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            PipelineError::Config(e) => Some(e),
             PipelineError::Select(e) => Some(e),
             PipelineError::Kernel(e) => Some(e),
             PipelineError::Drive { error, .. } => Some(error),

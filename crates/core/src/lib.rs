@@ -21,7 +21,8 @@
 //!
 //! * [`pipeline::NessaPipeline`] — the near-storage training loop,
 //! * [`policy::run_policy`] — any [`policy::Policy`] on any dataset,
-//! * [`timing`] — paper-scale epoch-time composition (Figure 4, §4.3–4.4).
+//! * [`timing`] — per-policy epoch-time charges at paper or run scale
+//!   (Figure 4, §4.3–4.4).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +40,7 @@ pub mod sizing;
 pub mod timing;
 pub mod trainer;
 
-pub use config::NessaConfig;
+pub use config::{ConfigError, NessaConfig};
 pub use error::PipelineError;
 pub use health::HealthMonitor;
 pub use pipeline::NessaPipeline;

@@ -29,9 +29,11 @@
 //! stream per epoch's round is split off the master seed before anything
 //! else draws, so the worker's randomness never races the trainer's, and
 //! the device sees the same op order (round *k* is always the *k*-th
-//! scan/select/ship) regardless of thread scheduling. The epoch span is
-//! charged [`EpochRecord::total_secs`] — `select + io` sequentially,
-//! `sync + max(select_side, train) + handoff` overlapped — so the trace
+//! scan/select/ship) regardless of thread scheduling. Training is
+//! charged in both schedules: the `train` span carries the epoch's
+//! cost-model GPU seconds, and the epoch span is charged
+//! [`EpochRecord::total_secs`] — `sync + max(select_side, train) +
+//! handoff`, which sequentially is `select + io + train` — so the trace
 //! and the report cannot disagree; wall-clock overlap is measured from
 //! the real concurrent span intervals by `nessa-trace`.
 
@@ -43,9 +45,10 @@ use crate::proxy::gradient_proxies;
 use crate::report::{EpochRecord, OverlapRecord, RunReport};
 use crate::retry::RetryPolicy;
 use crate::sizing::SubsetSizer;
+use crate::timing::gpu_train_secs;
 use crate::trainer::{evaluate, train_epoch, TrainMetrics};
 use nessa_data::Dataset;
-use nessa_nn::cost::{epoch_time, DeviceSpec, LoaderSpec};
+use nessa_nn::cost::DeviceSpec;
 use nessa_nn::models::Network;
 use nessa_nn::optim::{MultiStepLr, Sgd, SgdConfig};
 use nessa_quant::QuantizedModel;
@@ -456,6 +459,8 @@ impl NessaPipeline {
     ///
     /// # Errors
     ///
+    /// [`PipelineError::Config`] if [`NessaConfig::validate`] rejects the
+    /// configuration (checked before anything runs),
     /// [`PipelineError::Select`] if the selection kernel rejects its
     /// inputs, [`PipelineError::Kernel`] if a selection chunk exceeds the
     /// FPGA's on-chip memory (enable partitioning or shrink the chunk),
@@ -463,6 +468,7 @@ impl NessaPipeline {
     /// could not absorb, and [`PipelineError::AllDrivesLost`] once every
     /// drive has been evicted.
     pub fn run(&mut self) -> Result<RunReport, PipelineError> {
+        self.config.validate().map_err(PipelineError::Config)?;
         self.history.clear();
         let cfg = self.config.clone();
         let n = self.train.len();
@@ -511,11 +517,8 @@ impl NessaPipeline {
         let train_metrics = TrainMetrics::from_telemetry(&self.telemetry);
         let health = HealthMonitor::new(&self.telemetry);
         let mut fraction = cfg.subset_fraction;
-        // Forward + backward ≈ 3× the forward cost; feeds the
-        // deterministic GPU-side cost model for the overlap ledger.
-        let train_flops = 3 * self.target.flops_per_sample();
+        let forward_flops = self.target.flops_per_sample();
         let gpu = DeviceSpec::v100();
-        let loader = LoaderSpec::smartssd_p2p();
         // The subset a worker round selected during the previous epoch,
         // waiting to be consumed.
         let mut pending: Option<Selection> = None;
@@ -557,16 +560,7 @@ impl NessaPipeline {
                 self.history.push((epoch, out.selection.indices.clone()));
                 out.selection
             };
-            orec.train_secs = epoch_time(
-                &gpu,
-                &loader,
-                selection.len() as u64,
-                train_flops,
-                // The subset is already GPU-resident (the ship phase
-                // carried it); the training loader streams no bytes.
-                0,
-            )
-            .compute_s;
+            let train_secs = gpu_train_secs(&gpu, selection.len() as u64, forward_flops);
             // The worker round for the next epoch's subset. Only the
             // overlapped schedule has pre-split streams, and none past
             // the last epoch, so the sequential schedule never spawns.
@@ -603,11 +597,12 @@ impl NessaPipeline {
                     })
                 });
                 let outcome = {
-                    let _train_span = ctx
+                    let mut train_span = ctx
                         .telemetry
                         .span("train")
                         .with_attr("epoch", epoch)
                         .with_attr("subset", selection.len());
+                    train_span.add_sim_secs(train_secs);
                     train_epoch(
                         target,
                         &mut opt,
@@ -680,6 +675,7 @@ impl NessaPipeline {
                 test_acc,
                 select_secs,
                 io_secs,
+                train_secs,
                 overlap: cfg.overlap.then_some(orec),
             };
             epoch_span.add_sim_secs(record.total_secs());
@@ -904,8 +900,14 @@ mod tests {
         let report = p.run().unwrap();
         // Each pipelined epoch hides the shorter of its two sides.
         let overlaps = || report.epochs.iter().filter_map(|r| r.overlap.as_ref());
-        let hidden: f64 = overlaps()
-            .map(|o| o.select_side_secs.min(o.train_secs))
+        let hidden: f64 = report
+            .epochs
+            .iter()
+            .filter_map(|r| {
+                r.overlap
+                    .as_ref()
+                    .map(|o| o.select_side_secs.min(r.train_secs))
+            })
             .sum();
         assert!(hidden > 0.0, "pipelined rounds must hide device time");
         assert!(hidden <= p.device().elapsed_secs() + 1e-12);
@@ -930,6 +932,62 @@ mod tests {
         q.run().unwrap();
         let epochs: Vec<usize> = q.selection_history().iter().map(|(e, _)| *e).collect();
         assert_eq!(epochs, vec![0, 1, 2, 3]);
+    }
+
+    /// Runs `cfg` after `bad` sets one field directly (bypassing the
+    /// builders) and returns the field the typed error names.
+    fn rejected_by_run(bad: impl FnOnce(&mut NessaConfig)) -> &'static str {
+        let mut cfg = NessaConfig::new(0.3, 2).with_batch_size(32);
+        bad(&mut cfg);
+        match small_setup(&cfg).run() {
+            Err(PipelineError::Config(e)) => e.field,
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_batch_size_is_a_config_error() {
+        assert_eq!(rejected_by_run(|c| c.batch_size = 0), "batch_size");
+    }
+
+    #[test]
+    fn zero_biasing_drop_every_is_a_config_error() {
+        assert_eq!(
+            rejected_by_run(|c| c.biasing_drop_every = 0),
+            "biasing_drop_every"
+        );
+    }
+
+    #[test]
+    fn full_biasing_drop_fraction_is_a_config_error() {
+        assert_eq!(
+            rejected_by_run(|c| c.biasing_drop_fraction = 1.0),
+            "biasing_drop_fraction"
+        );
+    }
+
+    #[test]
+    fn zero_subset_fraction_is_a_config_error() {
+        assert_eq!(
+            rejected_by_run(|c| c.subset_fraction = 0.0),
+            "subset_fraction"
+        );
+    }
+
+    #[test]
+    fn zero_sizing_min_fraction_is_a_config_error() {
+        assert_eq!(
+            rejected_by_run(|c| c.sizing_min_fraction = 0.0),
+            "sizing_min_fraction"
+        );
+    }
+
+    #[test]
+    fn negative_sizing_threshold_is_a_config_error() {
+        assert_eq!(
+            rejected_by_run(|c| c.sizing_threshold = -0.1),
+            "sizing_threshold"
+        );
     }
 
     #[test]

@@ -1,4 +1,7 @@
 //! Run reports: per-epoch records plus device-level summaries.
+//! [`EpochRecord::total_secs`] composes every epoch's simulated seconds:
+//! both pipeline schedules, the CPU baselines and the [`crate::timing`]
+//! rows all fill an [`EpochRecord`].
 
 use nessa_smartssd::TrafficStats;
 use std::fmt;
@@ -9,10 +12,9 @@ use std::fmt;
 /// Under overlap the epoch's device work (the selection round for the
 /// *next* epoch) runs concurrently with GPU training, so the epoch's cost
 /// is not a sum: it is
-/// `sync_secs + max(select_side_secs, train_secs) + handoff_secs`.
-/// Every field lives on the simulated clock — `train_secs` comes from the
-/// deterministic GPU cost model (`nessa_nn::cost::epoch_time`), never the
-/// host wall clock — so overlapped runs stay byte-reproducible.
+/// `sync_secs + max(select_side_secs, train_secs) + handoff_secs`, with
+/// [`EpochRecord::train_secs`] as the training side. Every field lives on
+/// the simulated clock, so overlapped runs stay byte-reproducible.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct OverlapRecord {
     /// Selection seconds paid synchronously *before* training could start
@@ -21,9 +23,6 @@ pub struct OverlapRecord {
     /// Device seconds of the selection round overlapped with this epoch's
     /// training (scan + kernel + subset shipment for epoch *e + 1*).
     pub select_side_secs: f64,
-    /// Deterministic GPU seconds for this epoch's training, from the cost
-    /// model.
-    pub train_secs: f64,
     /// Hand-off seconds serializing the two sides at the epoch boundary
     /// (quantized-weight feedback broadcast).
     pub handoff_secs: f64,
@@ -33,7 +32,7 @@ pub struct OverlapRecord {
 }
 
 /// One epoch's measurements.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EpochRecord {
     /// Epoch number (0-based).
     pub epoch: usize,
@@ -47,25 +46,32 @@ pub struct EpochRecord {
     pub train_loss: f32,
     /// Test accuracy (fraction in `[0, 1]`).
     pub test_acc: f32,
-    /// Simulated seconds the selection kernel ran this epoch.
+    /// Simulated seconds of subset selection this epoch (FPGA kernel or
+    /// CPU).
     pub select_secs: f64,
     /// Simulated seconds of data movement this epoch (flash reads, subset
     /// transfer, feedback).
     pub io_secs: f64,
-    /// Overlapped-pipelining bookkeeping; `None` for the sequential schedule
-    /// (keeping its JSONL byte-identical to earlier releases).
+    /// Deterministic GPU seconds for this epoch's training, from the
+    /// V100 cost model (`nessa_nn::cost::epoch_time`), never the host
+    /// wall clock.
+    pub train_secs: f64,
+    /// Overlapped-pipelining bookkeeping; `None` for the sequential
+    /// schedule.
     pub overlap: Option<OverlapRecord>,
 }
 
 impl EpochRecord {
-    /// Total simulated seconds for the epoch: selection + I/O for the
-    /// sequential schedule, `sync + max(select_side, train) + handoff` when
-    /// the epoch ran overlapped.
+    /// Total simulated seconds for the epoch:
+    /// `sync + max(select_side, train) + handoff`. A sequential epoch is
+    /// the case `sync = select + io`, `select_side = handoff = 0`: it
+    /// selects, moves its data, then trains.
     pub fn total_secs(&self) -> f64 {
-        match &self.overlap {
-            Some(o) => o.sync_secs + o.select_side_secs.max(o.train_secs) + o.handoff_secs,
-            None => self.select_secs + self.io_secs,
-        }
+        let (sync, side, handoff) = match &self.overlap {
+            Some(o) => (o.sync_secs, o.select_side_secs, o.handoff_secs),
+            None => (self.select_secs + self.io_secs, 0.0, 0.0),
+        };
+        sync + side.max(self.train_secs) + handoff
     }
 }
 
@@ -127,7 +133,7 @@ impl RunReport {
         use nessa_telemetry::json::JsonObject;
         let mut out = String::new();
         for e in &self.epochs {
-            let mut obj = JsonObject::new()
+            let obj = JsonObject::new()
                 .str_field("type", "epoch")
                 .u64_field("epoch", e.epoch as u64)
                 .f64_field("lr", e.lr as f64)
@@ -139,16 +145,16 @@ impl RunReport {
                 .f64_field("io_s", e.io_secs)
                 .f64_field("total_s", e.total_secs());
             // Overlap fields are appended only when the epoch ran under
-            // the overlapped scheduler, so sequential output stays
-            // byte-identical across releases.
-            if let Some(o) = &e.overlap {
-                obj = obj
+            // the overlapped scheduler; `train_s` sits among them there.
+            let obj = match &e.overlap {
+                Some(o) => obj
                     .f64_field("sync_s", o.sync_secs)
                     .f64_field("select_side_s", o.select_side_secs)
-                    .f64_field("train_s", o.train_secs)
+                    .f64_field("train_s", e.train_secs)
                     .f64_field("handoff_s", o.handoff_secs)
-                    .u64_field("staleness", o.staleness as u64);
-            }
+                    .u64_field("staleness", o.staleness as u64),
+                None => obj.f64_field("train_s", e.train_secs),
+            };
             out.push_str(&obj.finish());
             out.push('\n');
         }
@@ -204,6 +210,7 @@ mod tests {
                     test_acc: 0.4,
                     select_secs: 0.1,
                     io_secs: 0.2,
+                    train_secs: 0.4,
                     overlap: None,
                 },
                 EpochRecord {
@@ -215,6 +222,7 @@ mod tests {
                     test_acc: 0.7,
                     select_secs: 0.1,
                     io_secs: 0.2,
+                    train_secs: 0.4,
                     overlap: None,
                 },
             ],
@@ -246,8 +254,9 @@ mod tests {
 
     #[test]
     fn epoch_total_secs_sums_phases() {
+        // Sequentially the epoch selects, moves data, then trains.
         let r = sample_report();
-        assert!((r.epochs[0].total_secs() - 0.3).abs() < 1e-12);
+        assert!((r.epochs[0].total_secs() - 0.7).abs() < 1e-12);
     }
 
     #[test]
@@ -264,8 +273,9 @@ mod tests {
         // Shortest-round-trip formatting preserves the exact f64 sum.
         assert_eq!(
             first.get("total_s").and_then(JsonValue::as_f64),
-            Some(0.1 + 0.2)
+            Some(0.1 + 0.2 + 0.4)
         );
+        assert_eq!(first.get("train_s").and_then(JsonValue::as_f64), Some(0.4));
         let run = JsonValue::parse(lines[2]).unwrap();
         assert_eq!(run.get("type").and_then(JsonValue::as_str), Some("run"));
         assert_eq!(run.get("name").and_then(JsonValue::as_str), Some("test"));
@@ -276,10 +286,10 @@ mod tests {
     #[test]
     fn overlapped_epoch_total_is_max_plus_handoff() {
         let mut r = sample_report();
+        r.epochs[1].train_secs = 0.7;
         r.epochs[1].overlap = Some(OverlapRecord {
             sync_secs: 0.05,
             select_side_secs: 0.3,
-            train_secs: 0.7,
             handoff_secs: 0.02,
             staleness: 1,
         });
@@ -289,7 +299,7 @@ mod tests {
         r.epochs[1].overlap.as_mut().unwrap().select_side_secs = 0.9;
         assert!((r.epochs[1].total_secs() - 0.97).abs() < 1e-12);
         // The sequential epoch is untouched.
-        assert!((r.epochs[0].total_secs() - 0.3).abs() < 1e-12);
+        assert!((r.epochs[0].total_secs() - 0.7).abs() < 1e-12);
     }
 
     #[test]
@@ -298,13 +308,13 @@ mod tests {
         let plain = sample_report().to_jsonl();
         assert!(
             !plain.contains("select_side_s"),
-            "sequential lines stay as-is"
+            "sequential lines carry no overlap fields"
         );
         let mut r = sample_report();
+        r.epochs[0].train_secs = 0.5;
         r.epochs[0].overlap = Some(OverlapRecord {
             sync_secs: 0.0,
             select_side_secs: 0.25,
-            train_secs: 0.5,
             handoff_secs: 0.01,
             staleness: 1,
         });

@@ -1,6 +1,6 @@
 //! Integration test: a pipeline run emits exactly one span per configured
-//! epoch phase per epoch, and the spans' simulated seconds reconcile with
-//! the run report.
+//! epoch phase per epoch, and the spans' simulated seconds (training's
+//! included) reconcile with the run report.
 
 use nessa_core::{NessaConfig, NessaPipeline};
 use nessa_data::SynthConfig;
@@ -59,7 +59,17 @@ fn every_epoch_phase_emits_exactly_one_span() {
             );
             sim_total += found[0].sim_secs;
         }
-        let expected = report.epochs[epoch as usize].total_secs();
+        let record = &report.epochs[epoch as usize];
+        let train = spans_named(&spans, "train", epoch);
+        assert!(
+            record.train_secs > 0.0,
+            "epoch {epoch}: training is charged"
+        );
+        assert_eq!(
+            train[0].sim_secs, record.train_secs,
+            "epoch {epoch}: train span sim != train_secs"
+        );
+        let expected = record.total_secs();
         assert!(
             (sim_total - expected).abs() < 1e-9,
             "epoch {epoch}: span sim total {sim_total} != report {expected}"

@@ -41,7 +41,14 @@ use std::fs;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, recovering its data if a thread panicked while holding
+/// it: telemetry keeps recording around a panic rather than turning it
+/// into a second one.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Where telemetry goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -284,7 +291,7 @@ impl Telemetry {
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         let thread = std::thread::current().id();
         let parent = {
-            let mut stack = inner.open_stack.lock().unwrap();
+            let mut stack = lock(&inner.open_stack);
             let natural = stack
                 .iter()
                 .rev()
@@ -340,11 +347,11 @@ impl Telemetry {
         };
         if inner.mode == TelemetryMode::Jsonl {
             let line = sink::device_event_line(&event);
-            if let Some(w) = inner.jsonl.lock().unwrap().as_mut() {
+            if let Some(w) = lock(&inner.jsonl).as_mut() {
                 let _ = writeln!(w, "{line}");
             }
         }
-        inner.device_events.lock().unwrap().push(event);
+        lock(&inner.device_events).push(event);
     }
 
     /// Seconds since the stream was created (host wall clock); `None` on
@@ -360,7 +367,7 @@ impl Telemetry {
     pub fn spans(&self) -> Vec<SpanRecord> {
         self.inner
             .as_ref()
-            .map(|i| i.spans.lock().unwrap().clone())
+            .map(|i| lock(&i.spans).clone())
             .unwrap_or_default()
     }
 
@@ -368,7 +375,7 @@ impl Telemetry {
     pub fn device_events(&self) -> Vec<DeviceEvent> {
         self.inner
             .as_ref()
-            .map(|i| i.device_events.lock().unwrap().clone())
+            .map(|i| lock(&i.device_events).clone())
             .unwrap_or_default()
     }
 
@@ -397,7 +404,7 @@ impl Telemetry {
             TelemetryMode::Timeline => print!("{}", self.render_timeline()),
             TelemetryMode::Jsonl => {
                 let snapshot = inner.metrics.snapshot();
-                if let Some(w) = inner.jsonl.lock().unwrap().as_mut() {
+                if let Some(w) = lock(&inner.jsonl).as_mut() {
                     for line in sink::metrics_lines(&snapshot) {
                         let _ = writeln!(w, "{line}");
                     }
@@ -460,24 +467,39 @@ impl Drop for SpanGuard {
         };
         rec.wall_secs = self.start.elapsed().as_secs_f64();
         {
-            let mut stack = inner.open_stack.lock().unwrap();
+            let mut stack = lock(&inner.open_stack);
             if let Some(pos) = stack.iter().rposition(|&(_, id)| id == rec.id) {
                 stack.remove(pos);
             }
         }
         if inner.mode == TelemetryMode::Jsonl {
             let line = sink::span_line(&rec);
-            if let Some(w) = inner.jsonl.lock().unwrap().as_mut() {
+            if let Some(w) = lock(&inner.jsonl).as_mut() {
                 let _ = writeln!(w, "{line}");
             }
         }
-        inner.spans.lock().unwrap().push(rec);
+        lock(&inner.spans).push(rec);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lock_recovers_a_poisoned_mutex() {
+        let m = Mutex::new(vec![1]);
+        let _ = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = m.lock().unwrap();
+                panic!("poison the lock");
+            })
+            .join()
+        });
+        assert!(m.is_poisoned());
+        lock(&m).push(2);
+        assert_eq!(*lock(&m), vec![1, 2]);
+    }
 
     fn temp_path(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);

@@ -8,6 +8,7 @@
 //! buckets, giving ~±15% relative quantile error with zero allocation on
 //! the observe path.
 
+use crate::lock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -259,9 +260,7 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// Returns (creating if needed) the counter called `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        self.counters
-            .lock()
-            .unwrap()
+        lock(&self.counters)
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -269,9 +268,7 @@ impl MetricsRegistry {
 
     /// Returns (creating if needed) the gauge called `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        self.gauges
-            .lock()
-            .unwrap()
+        lock(&self.gauges)
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -279,9 +276,7 @@ impl MetricsRegistry {
 
     /// Returns (creating if needed) the histogram called `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        self.histograms
-            .lock()
-            .unwrap()
+        lock(&self.histograms)
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -290,24 +285,15 @@ impl MetricsRegistry {
     /// Captures every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .unwrap()
+            counters: lock(&self.counters)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .unwrap()
+            gauges: lock(&self.gauges)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .unwrap()
+            histograms: lock(&self.histograms)
                 .iter()
                 .map(|(k, h)| {
                     (

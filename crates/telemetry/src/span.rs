@@ -116,14 +116,6 @@ impl SpanRecord {
             _ => None,
         }
     }
-
-    /// The span's dominant-clock cost: the larger of its simulated-device
-    /// and host wall seconds. Device-attributed phases (scan/select/ship/
-    /// feedback) are dominated by the sim clock; host-only phases (train)
-    /// by the wall clock. Critical-path extraction ranks spans by this.
-    pub fn cost_secs(&self) -> f64 {
-        self.sim_secs.max(self.wall_secs)
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +136,6 @@ mod tests {
         assert_eq!(rec.attr_u64("epoch"), Some(3));
         assert_eq!(rec.attr("note"), Some(&AttrValue::Str("x".into())));
         assert_eq!(rec.attr("missing"), None);
-        assert_eq!(rec.cost_secs(), 0.5);
     }
 
     #[test]

@@ -98,8 +98,9 @@ impl SpanTree {
     }
 
     /// The chain of most-expensive descendants starting at span `id`
-    /// (inclusive), where a span's cost is [`SpanRecord::cost_secs`] — the
-    /// critical path through that subtree at span granularity.
+    /// (inclusive), ranked by simulated seconds — the critical path
+    /// through that subtree at span granularity. Wall seconds are another
+    /// clock and never enter the ranking.
     pub fn critical_path(&self, id: u64) -> Vec<&SpanRecord> {
         let mut path = Vec::new();
         let mut cur = self.get(id);
@@ -107,7 +108,7 @@ impl SpanTree {
             path.push(span);
             cur = self
                 .children(span.id)
-                .max_by(|a, b| a.cost_secs().total_cmp(&b.cost_secs()));
+                .max_by(|a, b| a.sim_secs.total_cmp(&b.sim_secs));
         }
         path
     }
@@ -134,7 +135,8 @@ mod tests {
             span(2, Some(1), "scan", 0.01, 0.4),
             span(3, Some(1), "select", 0.02, 1.5),
             span(4, Some(3), "greedy", 0.015, 1.2),
-            span(1, None, "epoch", 0.5, 1.9),
+            span(6, Some(1), "train", 0.4, 0.3),
+            span(1, None, "epoch", 0.5, 2.2),
             span(5, Some(9), "orphan", 0.1, 0.0),
         ])
     }
@@ -145,7 +147,7 @@ mod tests {
         let roots: Vec<&str> = tree.roots().map(|s| s.name.as_str()).collect();
         assert_eq!(roots, vec!["epoch", "orphan"]);
         let kids: Vec<&str> = tree.children(1).map(|s| s.name.as_str()).collect();
-        assert_eq!(kids, vec!["scan", "select"]);
+        assert_eq!(kids, vec!["scan", "select", "train"]);
         assert_eq!(tree.get(4).unwrap().name, "greedy");
         assert!(tree.get(99).is_none());
     }
@@ -162,6 +164,7 @@ mod tests {
                 ("scan".to_string(), 1),
                 ("select".to_string(), 1),
                 ("greedy".to_string(), 2),
+                ("train".to_string(), 1),
                 ("orphan".to_string(), 0),
             ]
         );
@@ -169,6 +172,8 @@ mod tests {
 
     #[test]
     fn critical_path_follows_max_cost() {
+        // Ranked by sim seconds alone: train's wall 0.4 s outlasts
+        // select's 0.02 s, but select's 1.5 sim s beats train's 0.3.
         let tree = sample();
         let path: Vec<&str> = tree
             .critical_path(1)

@@ -35,8 +35,9 @@ pub struct EpochReport {
     pub sim_s: f64,
     /// Phase name → aggregate over the epoch span's children.
     pub phases: BTreeMap<String, PhaseStat>,
-    /// Span names along the most-expensive descendant chain (dominant
-    /// clock, see `SpanRecord::cost_secs`), starting at `epoch`.
+    /// Span names along the most-expensive descendant chain, ranked by
+    /// simulated seconds (see `SpanTree::critical_path`), starting at
+    /// `epoch`.
     pub critical_path: Vec<String>,
     /// **Measured** selection-vs-training concurrency, from real span
     /// intervals: the wall-clock intersection of the selection side
@@ -374,9 +375,12 @@ mod tests {
     #[test]
     fn critical_path_descends_dominant_phase() {
         let rep = TraceReport::from_trace(&two_epoch_trace());
-        // epoch 0's dominant child is train (wall 0.8 > select sim 0.5).
-        assert_eq!(rep.epochs[0].critical_path, vec!["epoch", "train"]);
-        assert!(rep.render().contains("critical path: epoch > train"));
+        // Ranked by sim seconds only: epoch 0's dominant child is select
+        // (sim 0.5), although train's wall 0.8 s is the longest span.
+        assert_eq!(rep.epochs[0].critical_path, vec!["epoch", "select"]);
+        assert!(rep.render().contains("critical path: epoch > select"));
+        // Epoch 1's train carries no sim seconds; feedback's 0.4 leads.
+        assert_eq!(rep.epochs[1].critical_path, vec!["epoch", "feedback"]);
     }
 
     #[test]

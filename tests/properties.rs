@@ -192,28 +192,37 @@ fn overlap_pipeline(cfg: &NessaConfig) -> NessaPipeline {
 proptest! {
     #[test]
     fn overlap_epoch_total_composes_as_max(seed in any::<u64>(), epochs in 2usize..5) {
-        // The serialized ledger must agree with itself: re-deriving
-        // `total_s` from the JSONL's own `sync_s`/`select_side_s`/
-        // `train_s`/`handoff_s` fields reproduces the critical-path
-        // composition `sync + max(select_side, train) + handoff`.
-        let cfg = NessaConfig::new(0.4, epochs)
-            .with_batch_size(16)
-            .with_seed(seed)
-            .with_overlap(true);
-        let report = overlap_pipeline(&cfg).run().unwrap();
-        let jsonl = report.to_jsonl();
-        for (line, rec) in jsonl.lines().zip(&report.epochs) {
-            let parsed = JsonValue::parse(line).expect("epoch line parses");
-            let get = |field: &str| parsed.get(field).and_then(JsonValue::as_f64)
-                .unwrap_or_else(|| panic!("epoch line missing {field}: {line}"));
-            let composed = get("sync_s") + get("select_side_s").max(get("train_s")) + get("handoff_s");
-            prop_assert!(approx_eq_f64(get("total_s"), composed, 1e-12),
-                "epoch {}: total_s {} != composed {}", rec.epoch, get("total_s"), composed);
-            prop_assert!(approx_eq_f64(rec.total_secs(), get("total_s"), 1e-12));
-            let o = rec.overlap.as_ref().expect("overlap mode records a ledger");
-            // The hidden device time never exceeds either side.
-            let hidden = o.select_side_secs.min(o.train_secs);
-            prop_assert!(hidden <= o.select_side_secs && hidden <= o.train_secs);
+        // The serialized ledger must agree with itself in both schedules:
+        // re-deriving `total_s` from the JSONL's own fields reproduces
+        // `sync + max(select_side, train) + handoff` overlapped and
+        // `select + io + train` sequentially.
+        for overlap in [false, true] {
+            let cfg = NessaConfig::new(0.4, epochs)
+                .with_batch_size(16)
+                .with_seed(seed)
+                .with_overlap(overlap);
+            let report = overlap_pipeline(&cfg).run().unwrap();
+            let jsonl = report.to_jsonl();
+            for (line, rec) in jsonl.lines().zip(&report.epochs) {
+                let parsed = JsonValue::parse(line).expect("epoch line parses");
+                let get = |field: &str| parsed.get(field).and_then(JsonValue::as_f64)
+                    .unwrap_or_else(|| panic!("epoch line missing {field}: {line}"));
+                let composed = if overlap {
+                    get("sync_s") + get("select_side_s").max(get("train_s")) + get("handoff_s")
+                } else {
+                    get("select_s") + get("io_s") + get("train_s")
+                };
+                prop_assert!(get("train_s") > 0.0, "epoch {}: training is charged", rec.epoch);
+                prop_assert!(approx_eq_f64(get("total_s"), composed, 1e-12),
+                    "epoch {}: total_s {} != composed {}", rec.epoch, get("total_s"), composed);
+                prop_assert!(approx_eq_f64(rec.total_secs(), get("total_s"), 1e-12));
+                prop_assert_eq!(rec.overlap.is_some(), overlap);
+                if let Some(o) = &rec.overlap {
+                    // The hidden device time never exceeds either side.
+                    let hidden = o.select_side_secs.min(rec.train_secs);
+                    prop_assert!(hidden <= o.select_side_secs && hidden <= rec.train_secs);
+                }
+            }
         }
     }
 
