@@ -36,12 +36,24 @@
 //! handoff`, which sequentially is `select + io + train` — so the trace
 //! and the report cannot disagree; wall-clock overlap is measured from
 //! the real concurrent span intervals by `nessa-trace`.
+//!
+//! # Host parallelism
+//!
+//! [`NessaPipeline::run`] reads `available_parallelism()` once. Every
+//! synchronous round (each sequential round and the overlapped
+//! prologue) runs its proxy forward and its per-class facility location
+//! on that many threads: the forward is split at batch boundaries
+//! ([`crate::proxy::gradient_proxies_on`]) and the classes draw from
+//! pre-split RNG streams ([`CraigOptions::workers`]), so the picks are
+//! bit-identical at any thread count. The overlapped worker round runs
+//! on one thread, because the trainer holds the other core while it
+//! runs (DESIGN.md §7, "Host parallelism").
 
 use crate::biasing::LossTracker;
 use crate::config::NessaConfig;
 use crate::error::PipelineError;
 use crate::health::HealthMonitor;
-use crate::proxy::gradient_proxies;
+use crate::proxy::gradient_proxies_on;
 use crate::report::{EpochRecord, OverlapRecord, RunReport};
 use crate::retry::RetryPolicy;
 use crate::sizing::SubsetSizer;
@@ -58,6 +70,7 @@ use nessa_smartssd::fpga::KernelProfile;
 use nessa_smartssd::{ClusterError, DeviceError, SmartSsdConfig, SsdCluster};
 use nessa_telemetry::{DeviceEvent, Telemetry};
 use nessa_tensor::rng::Rng64;
+use std::num::NonZeroUsize;
 
 /// Loss-history window for subset biasing (paper §3.2.2: the most recent
 /// five epochs).
@@ -88,6 +101,9 @@ struct RoundCtx<'a> {
     telemetry: &'a Telemetry,
     select_metrics: &'a SelectMetrics,
     train: &'a Dataset,
+    /// Host threads the round's proxy forward and per-class facility
+    /// location run on (module docs, "Host parallelism").
+    threads: usize,
 }
 
 /// Runs one cluster phase under the retry policy. Offline drives are
@@ -159,7 +175,7 @@ struct RoundOutcome {
 fn selection_round(
     ctx: &RoundCtx<'_>,
     device: &mut SsdCluster,
-    selector: &mut Network,
+    selector: &Network,
     epoch: usize,
     mut pool: Vec<usize>,
     fraction: f32,
@@ -236,7 +252,7 @@ fn selection_round(
         .span("select")
         .with_attr("epoch", epoch)
         .with_attr("pool", pool.len());
-    let proxies = gradient_proxies(selector, ctx.train, &pool, cfg.batch_size);
+    let proxies = gradient_proxies_on(selector, ctx.train, &pool, cfg.batch_size, ctx.threads);
     let feature_dim = proxies.features.dim(1);
     let pool_labels: Vec<usize> = pool.iter().map(|&i| ctx.train.label(i)).collect();
     let chunk = cfg.partitioning.then(|| cfg.partition_chunk(fraction));
@@ -244,6 +260,7 @@ fn selection_round(
         variant: cfg.greedy,
         partition_chunk: chunk,
         metrics: Some(ctx.select_metrics.clone()),
+        workers: ctx.threads,
     };
     // Charge the kernel's simulated time.
     // The kernel compares outer-product gradients through the
@@ -468,6 +485,13 @@ impl NessaPipeline {
     /// could not absorb, and [`PipelineError::AllDrivesLost`] once every
     /// drive has been evicted.
     pub fn run(&mut self) -> Result<RunReport, PipelineError> {
+        let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        self.run_on(threads)
+    }
+
+    /// [`NessaPipeline::run`] with its synchronous selection rounds on
+    /// `threads` host threads. The report does not depend on `threads`.
+    fn run_on(&mut self, threads: usize) -> Result<RunReport, PipelineError> {
         self.config.validate().map_err(PipelineError::Config)?;
         self.history.clear();
         let cfg = self.config.clone();
@@ -529,6 +553,7 @@ impl NessaPipeline {
                 telemetry: &self.telemetry,
                 select_metrics: &select_metrics,
                 train: &self.train,
+                threads,
             };
             let lr = schedule.lr_at(epoch);
             let mut epoch_span = self.telemetry.span("epoch").with_attr("epoch", epoch);
@@ -548,7 +573,7 @@ impl NessaPipeline {
                 let out = selection_round(
                     &ctx,
                     &mut self.device,
-                    &mut self.selector,
+                    &self.selector,
                     epoch,
                     pool_of(&tracker),
                     fraction,
@@ -573,8 +598,10 @@ impl NessaPipeline {
                 .get_mut(next)
                 .map(|stream| (stream, pool_of(&tracker)));
             let parent = epoch_span.id();
-            let (device, selector, target) =
-                (&mut self.device, &mut self.selector, &mut self.target);
+            let (device, selector, target) = (&mut self.device, &self.selector, &mut self.target);
+            // The trainer holds the other core while the worker round
+            // runs, so the round itself stays on one thread.
+            let worker_ctx = RoundCtx { threads: 1, ..ctx };
             let (outcome, joined) = std::thread::scope(|s| {
                 let worker = side.map(|(stream, pool)| {
                     s.spawn(move || {
@@ -587,8 +614,15 @@ impl NessaPipeline {
                             .span_child_of("overlap.select", parent)
                             .with_attr("epoch", epoch)
                             .with_attr("for_epoch", next);
-                        let r =
-                            selection_round(&ctx, device, selector, next, pool, fraction, stream);
+                        let r = selection_round(
+                            &worker_ctx,
+                            device,
+                            selector,
+                            next,
+                            pool,
+                            fraction,
+                            stream,
+                        );
                         if let Ok(out) = &r {
                             wrap.add_sim_secs(out.select_secs + out.io_secs);
                             wrap.set_attr("subset", out.selection.len());
@@ -661,7 +695,7 @@ impl NessaPipeline {
             if cfg.dynamic_sizing {
                 fraction = sizer.observe(outcome.mean_loss);
             }
-            let test_acc = evaluate(&mut self.target, &self.test, cfg.batch_size);
+            let test_acc = evaluate(&self.target, &self.test, cfg.batch_size);
             let record = EpochRecord {
                 epoch,
                 lr,
@@ -851,6 +885,24 @@ mod tests {
         let b = small_setup(&cfg).run().unwrap();
         assert_eq!(a.accuracy_curve(), b.accuracy_curve());
         assert_eq!(a.traffic, b.traffic);
+    }
+
+    #[test]
+    fn reports_do_not_depend_on_the_thread_budget() {
+        for overlap in [false, true] {
+            let cfg = NessaConfig::new(0.3, 4)
+                .with_batch_size(32)
+                .with_seed(5)
+                .with_overlap(overlap);
+            let mut serial = small_setup(&cfg);
+            let expect = serial.run_on(1).unwrap().to_jsonl();
+            for threads in [2, 3] {
+                let mut p = small_setup(&cfg);
+                let got = p.run_on(threads).unwrap().to_jsonl();
+                assert_eq!(got, expect, "overlap {overlap}, {threads} threads");
+                assert_eq!(p.selection_history(), serial.selection_history());
+            }
+        }
     }
 
     #[test]

@@ -45,43 +45,125 @@ impl GradientProxies {
     }
 }
 
-/// Computes last-layer gradient proxies for the given samples.
-///
-/// Runs `selector` in eval mode over `dataset[indices]` in batches of
-/// `batch_size` and returns the residual/feature factors, one row per
-/// index.
+/// Computes last-layer gradient proxies for the given samples on the
+/// calling thread: [`gradient_proxies_on`] with one worker.
 ///
 /// # Panics
 ///
 /// Panics if any index is out of bounds or `batch_size == 0`.
 pub fn gradient_proxies(
-    selector: &mut Network,
+    selector: &Network,
     dataset: &Dataset,
     indices: &[usize],
     batch_size: usize,
 ) -> GradientProxies {
+    gradient_proxies_on(selector, dataset, indices, batch_size, 1)
+}
+
+/// Computes last-layer gradient proxies for the given samples on up to
+/// `workers` threads, the calling thread included (0 counts as 1).
+///
+/// Runs `selector` in eval mode over `dataset[indices]` in batches of
+/// `batch_size` and returns the residual/feature factors, one row per
+/// index. The pool is split at batch boundaries into one contiguous run
+/// of batches per worker, so every forward call sees exactly the batch a
+/// one-worker run gives it, and the result is bit-identical at any
+/// worker count. Each worker writes its rows straight into its own rows
+/// of the two output tensors.
+///
+/// # Panics
+///
+/// Panics if any index is out of bounds or `batch_size == 0`.
+pub fn gradient_proxies_on(
+    selector: &Network,
+    dataset: &Dataset,
+    indices: &[usize],
+    batch_size: usize,
+    workers: usize,
+) -> GradientProxies {
     assert!(batch_size > 0, "batch size must be positive");
     let classes = dataset.classes();
     let mut residuals = Tensor::zeros(&[indices.len(), classes]);
-    let mut features: Option<Tensor> = None;
-    let mut row = 0;
-    for chunk in indices.chunks(batch_size) {
-        let (x, y) = dataset.batch(chunk);
-        let (feats, logits) = selector.forward_with_features(&x, false);
-        let probs = softmax_rows(&logits);
-        let fdim = feats.dim(1);
-        let features = features.get_or_insert_with(|| Tensor::zeros(&[indices.len(), fdim]));
-        for (b, &label) in y.iter().enumerate() {
-            let dst = residuals.row_mut(row);
-            dst.copy_from_slice(probs.row(b));
-            dst[label] -= 1.0;
-            features.row_mut(row).copy_from_slice(feats.row(b));
-            row += 1;
-        }
+    let Some(first) = indices.chunks(batch_size).next() else {
+        return GradientProxies {
+            residuals,
+            features: Tensor::zeros(&[0, 0]),
+        };
+    };
+    // The first batch fixes the feature width, so the feature matrix is
+    // allocated after it, as a one-worker run always did.
+    let (x, labels) = dataset.batch(first);
+    let (feats, logits) = selector.infer_with_features(&x);
+    let fdim = feats.dim(1);
+    let mut features = Tensor::zeros(&[indices.len(), fdim]);
+    let (res_first, mut res_rest) = residuals.as_mut_slice().split_at_mut(first.len() * classes);
+    let (feat_first, mut feat_rest) = features.as_mut_slice().split_at_mut(first.len() * fdim);
+    write_rows(&labels, &feats, &logits, res_first, feat_first);
+    // The remaining batches, one contiguous run of whole batches per
+    // worker; the calling thread takes the first run.
+    let rest = &indices[first.len()..];
+    let per_worker = rest.len().div_ceil(batch_size).div_ceil(workers.max(1)) * batch_size;
+    let mut runs = Vec::new();
+    for run in rest.chunks(per_worker.max(1)) {
+        let (res, res_tail) = std::mem::take(&mut res_rest).split_at_mut(run.len() * classes);
+        let (feat, feat_tail) = std::mem::take(&mut feat_rest).split_at_mut(run.len() * fdim);
+        (res_rest, feat_rest) = (res_tail, feat_tail);
+        runs.push((run, res, feat));
     }
+    let proxy_run = |(run, res, feat): (&[usize], &mut [f32], &mut [f32])| {
+        for (b, batch) in run.chunks(batch_size).enumerate() {
+            let rows = b * batch_size..b * batch_size + batch.len();
+            let (x, labels) = dataset.batch(batch);
+            let (feats, logits) = selector.infer_with_features(&x);
+            write_rows(
+                &labels,
+                &feats,
+                &logits,
+                &mut res[rows.start * classes..rows.end * classes],
+                &mut feat[rows.start * fdim..rows.end * fdim],
+            );
+        }
+    };
+    std::thread::scope(|s| {
+        let mut runs = runs.into_iter();
+        let own = runs.next();
+        let helpers: Vec<_> = runs.map(|run| s.spawn(move || proxy_run(run))).collect();
+        if let Some(run) = own {
+            proxy_run(run);
+        }
+        // Join each helper to the end of its OS thread, not only of its
+        // closure as the scope's implicit join does: a thread that has
+        // fully exited has handed its allocator arena back, and the next
+        // round's threads reuse it instead of growing a new one.
+        for helper in helpers {
+            if let Err(panic) = helper.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
     GradientProxies {
         residuals,
-        features: features.unwrap_or_else(|| Tensor::zeros(&[0, 0])),
+        features,
+    }
+}
+
+/// Writes one batch's proxy rows: `softmax(logits) − one-hot(label)` into
+/// `residuals` and the penultimate activations into `features`.
+fn write_rows(
+    labels: &[usize],
+    feats: &Tensor,
+    logits: &Tensor,
+    residuals: &mut [f32],
+    features: &mut [f32],
+) {
+    let probs = softmax_rows(logits);
+    let classes = probs.dim(1);
+    let fdim = feats.dim(1);
+    for (b, &label) in labels.iter().enumerate() {
+        let dst = &mut residuals[b * classes..(b + 1) * classes];
+        dst.copy_from_slice(probs.row(b));
+        dst[label] -= 1.0;
+        features[b * fdim..(b + 1) * fdim].copy_from_slice(feats.row(b));
     }
 }
 
@@ -92,7 +174,7 @@ pub fn gradient_proxies(
 ///
 /// Panics if any index is out of bounds or `batch_size == 0`.
 pub fn embeddings(
-    model: &mut Network,
+    model: &Network,
     dataset: &Dataset,
     indices: &[usize],
     batch_size: usize,
@@ -102,7 +184,7 @@ pub fn embeddings(
     let mut row = 0;
     for chunk in indices.chunks(batch_size) {
         let (x, _) = dataset.batch(chunk);
-        let (feats, _) = model.forward_with_features(&x, false);
+        let (feats, _) = model.infer_with_features(&x);
         let fdim = feats.dim(1);
         let out = out.get_or_insert_with(|| Tensor::zeros(&[indices.len(), fdim]));
         for b in 0..chunk.len() {
@@ -166,9 +248,9 @@ mod tests {
 
     #[test]
     fn proxies_have_expected_shapes() {
-        let (mut net, data) = setup();
+        let (net, data) = setup();
         let idx: Vec<usize> = (0..20).collect();
-        let p = gradient_proxies(&mut net, &data, &idx, 7);
+        let p = gradient_proxies(&net, &data, &idx, 7);
         assert_eq!(p.residuals.shape().dims(), &[20, 3]);
         assert_eq!(p.features.shape().dims(), &[20, 16]);
         assert_eq!(p.len(), 20);
@@ -177,9 +259,9 @@ mod tests {
 
     #[test]
     fn residual_rows_sum_to_zero() {
-        let (mut net, data) = setup();
+        let (net, data) = setup();
         let idx: Vec<usize> = (0..20).collect();
-        let p = gradient_proxies(&mut net, &data, &idx, 20);
+        let p = gradient_proxies(&net, &data, &idx, 20);
         for i in 0..20 {
             let s: f32 = p.residuals.row(i).iter().sum();
             assert!(s.abs() < 1e-5, "row {i} sums to {s}");
@@ -188,9 +270,9 @@ mod tests {
 
     #[test]
     fn flatten_outer_matches_direct_outer_product() {
-        let (mut net, data) = setup();
+        let (net, data) = setup();
         let idx: Vec<usize> = (0..5).collect();
-        let p = gradient_proxies(&mut net, &data, &idx, 2);
+        let p = gradient_proxies(&net, &data, &idx, 2);
         let flat = flatten_outer(&p);
         assert_eq!(flat.shape().dims(), &[5, 3 * 16]);
         for i in 0..5 {
@@ -207,9 +289,9 @@ mod tests {
     fn outer_distance_factorization_identity() {
         // ‖a_i⊗b_i − a_j⊗b_j‖² = ‖a_i‖²‖b_i‖² + ‖a_j‖²‖b_j‖²
         //                         − 2 (a_i·a_j)(b_i·b_j)
-        let (mut net, data) = setup();
+        let (net, data) = setup();
         let idx: Vec<usize> = (0..6).collect();
-        let p = gradient_proxies(&mut net, &data, &idx, 3);
+        let p = gradient_proxies(&net, &data, &idx, 3);
         let flat = flatten_outer(&p);
         for i in 0..6 {
             for j in 0..6 {
@@ -243,21 +325,42 @@ mod tests {
 
     #[test]
     fn batch_size_does_not_change_result() {
-        let (mut net, data) = setup();
+        let (net, data) = setup();
         let idx: Vec<usize> = (0..30).collect();
-        let a = flatten_outer(&gradient_proxies(&mut net, &data, &idx, 30));
-        let b = flatten_outer(&gradient_proxies(&mut net, &data, &idx, 4));
+        let a = flatten_outer(&gradient_proxies(&net, &data, &idx, 30));
+        let b = flatten_outer(&gradient_proxies(&net, &data, &idx, 4));
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert!((x - y).abs() < 1e-6);
         }
     }
 
     #[test]
+    fn threaded_proxies_are_bit_identical_to_one_worker() {
+        let (net, data) = setup();
+        // 23 shuffled indices in batches of 4: the last batch holds 3.
+        let mut rng = Rng64::new(8);
+        let idx = rng.sample_indices(data.len(), 23);
+        let serial = gradient_proxies(&net, &data, &idx, 4);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for workers in [2, 3, 8] {
+            let threaded = gradient_proxies_on(&net, &data, &idx, 4, workers);
+            assert_eq!(bits(&threaded.residuals), bits(&serial.residuals));
+            assert_eq!(bits(&threaded.features), bits(&serial.features));
+            assert_eq!(threaded.features.shape(), serial.features.shape());
+        }
+        // A pool smaller than one batch, and an empty pool.
+        for n in [0, 3] {
+            let serial = gradient_proxies(&net, &data, &idx[..n], 4);
+            assert_eq!(gradient_proxies_on(&net, &data, &idx[..n], 4, 3), serial);
+        }
+    }
+
+    #[test]
     fn embeddings_match_proxy_features() {
-        let (mut net, data) = setup();
+        let (net, data) = setup();
         let idx: Vec<usize> = (0..10).collect();
-        let p = gradient_proxies(&mut net, &data, &idx, 5);
-        let e = embeddings(&mut net, &data, &idx, 3);
+        let p = gradient_proxies(&net, &data, &idx, 5);
+        let e = embeddings(&net, &data, &idx, 3);
         assert_eq!(e.as_slice(), p.features.as_slice());
     }
 }

@@ -81,10 +81,12 @@ impl Workload {
         }
     }
 
-    /// The paper-scale subset size at `fraction`: `⌈samples · fraction⌉`,
-    /// at least 1.
+    /// The paper-scale subset size at `fraction`, rounded as the
+    /// selectors round it ([`nessa_select::fraction_count`]): CIFAR-10's
+    /// 50 000 samples at 28 % are 14 000, not the 14 001 a bare
+    /// `⌈samples · fraction⌉` gives through float error.
     pub fn subset(&self, fraction: f64) -> u64 {
-        ((self.samples as f64 * fraction).ceil() as u64).max(1)
+        nessa_select::fraction_count(self.samples as usize, fraction as f32) as u64
     }
 }
 
@@ -358,6 +360,16 @@ mod tests {
             (seq.total_secs() - ovl.total_secs() - hidden).abs() < 1e-9 * seq.total_secs(),
             "savings must equal the hidden side"
         );
+    }
+
+    #[test]
+    fn subset_rounds_like_the_selectors() {
+        let w = cifar();
+        assert_eq!(w.subset(0.28), 14_000);
+        assert_eq!(w.subset(28.0 / 100.0), 14_000);
+        assert_eq!(w.subset(0.3), 15_000);
+        assert_eq!(w.subset(1e-9), 1);
+        assert_eq!(w.subset(1.0), 50_000);
     }
 
     #[test]

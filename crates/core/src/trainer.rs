@@ -106,7 +106,7 @@ pub fn train_epoch(
 /// # Panics
 ///
 /// Panics if `batch_size == 0`.
-pub fn evaluate(net: &mut Network, dataset: &Dataset, batch_size: usize) -> f32 {
+pub fn evaluate(net: &Network, dataset: &Dataset, batch_size: usize) -> f32 {
     assert!(batch_size > 0, "batch size must be positive");
     let mut preds = Vec::with_capacity(dataset.len());
     let all: Vec<usize> = (0..dataset.len()).collect();
@@ -146,7 +146,7 @@ mod tests {
         let mut opt = Sgd::new(SgdConfig::default());
         let all: Vec<usize> = (0..train.len()).collect();
         let ones = vec![1.0f32; all.len()];
-        let acc0 = evaluate(&mut net, &test, 32);
+        let acc0 = evaluate(&net, &test, 32);
         let first = train_epoch(
             &mut net, &mut opt, &train, &all, &ones, 32, 0.05, &mut rng, None,
         );
@@ -156,7 +156,7 @@ mod tests {
                 &mut net, &mut opt, &train, &all, &ones, 32, 0.05, &mut rng, None,
             );
         }
-        let acc = evaluate(&mut net, &test, 32);
+        let acc = evaluate(&net, &test, 32);
         assert!(
             last.mean_loss < first.mean_loss,
             "{} !< {}",

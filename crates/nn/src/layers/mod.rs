@@ -1,8 +1,10 @@
 //! Layers with explicit forward/backward passes.
 //!
-//! Every layer caches whatever it needs during [`Layer::forward`] and
-//! consumes that cache in [`Layer::backward`]; gradients accumulate into
-//! [`Param::grad`] and are consumed by the optimizer.
+//! Every layer caches whatever it needs during [`Layer::forward_train`]
+//! and consumes that cache in [`Layer::backward`]; gradients accumulate
+//! into [`Param::grad`] and are consumed by the optimizer. Evaluation runs
+//! through [`Layer::infer`], which borrows the layer immutably, so one
+//! network can serve several inference threads at once.
 
 use nessa_tensor::ops::{add_bias_rows, relu_grad_mask, sum_axis0};
 use nessa_tensor::rng::Rng64;
@@ -33,21 +35,24 @@ impl Param {
 
 /// A differentiable network layer.
 ///
-/// Layers are stateful: a training `forward` caches activations, `backward`
-/// must be called with the gradient of the loss w.r.t. the layer's output
-/// *after* the corresponding training `forward`, and returns the gradient
-/// w.r.t. the input.
-pub trait Layer: Send {
-    /// Runs the layer on a batch. `train` marks a training pass. An
-    /// evaluation pass (`train == false`) computes the same output but
-    /// caches nothing, so [`Layer::backward`] must not follow it; the
-    /// selection proxy forward and `evaluate` never call backward.
-    ///
-    /// The `Send` supertrait lets a whole [`crate::models::Network`]
-    /// move to a worker thread (layers are plain tensors), which the
-    /// overlapped pipeline relies on to run selection concurrently with
-    /// training.
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
+/// Layers are stateful: [`Layer::forward_train`] caches activations, and
+/// [`Layer::backward`] must be called with the gradient of the loss w.r.t.
+/// the layer's output *after* the corresponding training forward.
+///
+/// The `Send` supertrait lets a whole [`crate::models::Network`] move to
+/// a worker thread (layers are plain tensors), which the overlapped
+/// pipeline relies on to run selection concurrently with training;
+/// `Sync` lets several threads run [`Layer::infer`] on one shared
+/// network, which the selection proxy forward does.
+pub trait Layer: Send + Sync {
+    /// Runs the layer on a batch for evaluation: the output only, nothing
+    /// cached. This is the one evaluation code path; the selection proxy
+    /// forward and `evaluate` never call backward.
+    fn infer(&self, x: &Tensor) -> Tensor;
+
+    /// Runs the layer on a training batch: the same output as
+    /// [`Layer::infer`], and caches what [`Layer::backward`] needs.
+    fn forward_train(&mut self, x: &Tensor) -> Tensor;
 
     /// Back-propagates `grad_out` (gradient w.r.t. this layer's output),
     /// accumulating parameter gradients, and returns the gradient w.r.t.
@@ -55,8 +60,16 @@ pub trait Layer: Send {
     ///
     /// # Panics
     ///
-    /// Implementations may panic if called before `forward`.
+    /// Implementations may panic if called before `forward_train`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// Back-propagates `grad_out` into the parameter gradients only,
+    /// without the gradient w.r.t. the input. A network's first layer
+    /// runs this: nothing reads the gradient of the network's input.
+    /// The default computes [`Layer::backward`] and drops its result.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
 
     /// Visits every trainable parameter (used by optimizers and the
     /// quantizer). Layers without parameters use the default no-op.
@@ -112,24 +125,34 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.ndim(), 2, "Linear expects a 2-D batch");
         assert_eq!(x.dim(1), self.in_features, "Linear input width mismatch");
         let mut y = x.matmul_transb(&self.weight.value);
         add_bias_rows(&mut y, &self.bias.value);
-        self.cached_input = train.then(|| x.clone());
+        y
+    }
+
+    fn forward_train(&mut self, x: &Tensor) -> Tensor {
+        let y = self.infer(x);
+        self.cached_input = Some(x.clone());
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        // dx = g W
+        grad_out.matmul(&self.weight.value)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let x = self
             .cached_input
             .as_ref()
             .expect("Linear::backward before forward");
-        // dW += g^T x ; db = sum_rows(g) ; dx = g W
+        // dW += g^T x ; db = sum_rows(g)
         self.weight.grad.add_matmul_transa(grad_out, x);
         self.bias.grad += &sum_axis0(grad_out);
-        grad_out.matmul(&self.weight.value)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -160,9 +183,13 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.cached_input = train.then(|| x.clone());
+    fn infer(&self, x: &Tensor) -> Tensor {
         x.map(|v| v.max(0.0))
+    }
+
+    fn forward_train(&mut self, x: &Tensor) -> Tensor {
+        self.cached_input = Some(x.clone());
+        self.infer(x)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -186,9 +213,9 @@ pub(crate) mod testutil {
     use super::*;
 
     /// Finite-difference check of a layer's input gradient on a small batch.
-    pub fn check_input_gradient(layer: &mut dyn Layer, x: &Tensor, tol: f32, train: bool) {
+    pub fn check_input_gradient(layer: &mut dyn Layer, x: &Tensor, tol: f32) {
         // Scalar loss: sum of outputs. dL/dy = ones.
-        let y = layer.forward(x, train);
+        let y = layer.forward_train(x);
         let gin = layer.backward(&Tensor::ones(y.shape().dims()));
         let eps = 1e-3;
         for i in 0..x.numel().min(24) {
@@ -196,8 +223,8 @@ pub(crate) mod testutil {
             xp.as_mut_slice()[i] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= eps;
-            let fp = layer.forward(&xp, train).sum();
-            let fm = layer.forward(&xm, train).sum();
+            let fp = layer.infer(&xp).sum();
+            let fm = layer.infer(&xm).sum();
             let num = (fp - fm) / (2.0 * eps);
             let ana = gin.as_slice()[i];
             assert!(
@@ -225,7 +252,7 @@ mod tests {
             }
         });
         let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
-        let y = l.forward(&x, true);
+        let y = l.forward_train(&x);
         assert_eq!(y.as_slice(), &[3.5, 6.5]);
     }
 
@@ -241,7 +268,7 @@ mod tests {
                 x.row_mut(0).fill(-0.0);
                 x.row_mut(1).iter_mut().for_each(|v| *v *= 1e-39);
             }
-            let y = l.forward(&x, false);
+            let y = l.infer(&x);
             let w = &l.weight.value;
             for i in 0..batch {
                 for (j, (&got, &bias)) in y.row(i).iter().zip(l.bias.value.as_slice()).enumerate() {
@@ -265,7 +292,7 @@ mod tests {
         let mut rng = Rng64::new(1);
         let mut l = Linear::new(3, 4, &mut rng);
         let x = Tensor::randn(&[2, 3], 0.0, 1.0, &mut rng);
-        testutil::check_input_gradient(&mut l, &x, 1e-2, true);
+        testutil::check_input_gradient(&mut l, &x, 1e-2);
     }
 
     #[test]
@@ -273,10 +300,10 @@ mod tests {
         let mut rng = Rng64::new(2);
         let mut l = Linear::new(2, 2, &mut rng);
         let x = Tensor::ones(&[1, 2]);
-        let _ = l.forward(&x, true);
+        let _ = l.forward_train(&x);
         let g = Tensor::ones(&[1, 2]);
         let _ = l.backward(&g);
-        let _ = l.forward(&x, true);
+        let _ = l.forward_train(&x);
         let _ = l.backward(&g);
         let mut grads = Vec::new();
         l.visit_params(&mut |p: &mut Param| grads.push(p.grad.clone()));
@@ -297,7 +324,7 @@ mod tests {
                 v
             }
         });
-        testutil::check_input_gradient(&mut l, &x, 1e-2, true);
+        testutil::check_input_gradient(&mut l, &x, 1e-2);
     }
 
     #[test]
@@ -306,12 +333,32 @@ mod tests {
         let mut rng = Rng64::new(5);
         let mut l = Linear::new(3, 2, &mut rng);
         let x = Tensor::ones(&[1, 3]);
-        let _ = l.forward(&x, true);
-        let eval = l.forward(&x, false);
+        let eval = l.infer(&x);
         assert!(l.cached_input.is_none());
-        assert_eq!(eval, l.forward(&x, true));
-        let _ = l.forward(&x, false);
+        let mut trained = l.clone();
+        assert_eq!(eval, trained.forward_train(&x));
+        assert!(trained.cached_input.is_some());
         let _ = l.backward(&Tensor::ones(&[1, 2]));
+    }
+
+    #[test]
+    fn parameter_only_backward_accumulates_the_same_gradients() {
+        let mut rng = Rng64::new(6);
+        let mut full = Linear::new(5, 4, &mut rng);
+        let mut params_only = full.clone();
+        let x = Tensor::randn(&[3, 5], 0.0, 1.0, &mut rng);
+        let g = Tensor::randn(&[3, 4], 0.0, 1.0, &mut rng);
+        let _ = full.forward_train(&x);
+        let _ = full.backward(&g);
+        let _ = params_only.forward_train(&x);
+        params_only.backward_params(&g);
+        for (a, b) in [
+            (&full.weight.grad, &params_only.weight.grad),
+            (&full.bias.grad, &params_only.bias.grad),
+        ] {
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b));
+        }
     }
 
     #[test]

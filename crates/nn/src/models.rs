@@ -8,13 +8,12 @@ use nessa_tensor::Tensor;
 /// A feed-forward network: an ordered stack of [`Layer`]s.
 ///
 /// The last layer of every classifier built in this crate is a [`Linear`]
-/// head, which lets [`Network::forward_with_features`] expose the
+/// head, which lets [`Network::infer_with_features`] expose the
 /// penultimate activations — the feature vectors from which NeSSA's
 /// selection model computes its gradient proxies.
 pub struct Network {
     name: String,
     layers: Vec<Box<dyn Layer>>,
-    cached_features: Option<Tensor>,
 }
 
 impl std::fmt::Debug for Network {
@@ -30,7 +29,6 @@ impl Network {
         Self {
             name: name.into(),
             layers: Vec::new(),
-            cached_features: None,
         }
     }
 
@@ -55,42 +53,57 @@ impl Network {
         self.layers.is_empty()
     }
 
-    /// Full forward pass. The input to the last layer is kept for
-    /// [`Network::forward_with_features`].
+    /// Full forward pass. A training pass (`train == true`) caches each
+    /// layer's activations for [`Network::backward`]; an evaluation pass
+    /// is [`Network::infer`].
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let Some((head, body)) = self.layers.split_last_mut() else {
-            return x.clone();
+        if !train {
+            return self.infer(x);
+        }
+        let mut h: Option<Tensor> = None;
+        for layer in &mut self.layers {
+            h = Some(layer.forward_train(h.as_ref().unwrap_or(x)));
+        }
+        h.unwrap_or_else(|| x.clone())
+    }
+
+    /// Evaluation forward pass: caches nothing and borrows the network
+    /// immutably, so several threads can run it on one network.
+    pub fn infer(&self, x: &Tensor) -> Tensor {
+        self.infer_with_features(x).1
+    }
+
+    /// Evaluation forward pass that also returns the penultimate
+    /// activations (the input to the final layer; the input itself for a
+    /// one-layer network).
+    ///
+    /// Returns `(features, logits)`.
+    pub fn infer_with_features(&self, x: &Tensor) -> (Tensor, Tensor) {
+        let Some((head, body)) = self.layers.split_last() else {
+            return (x.clone(), x.clone());
         };
         let mut h: Option<Tensor> = None;
         for layer in body {
-            h = Some(layer.forward(h.as_ref().unwrap_or(x), train));
+            h = Some(layer.infer(h.as_ref().unwrap_or(x)));
         }
         let features = h.unwrap_or_else(|| x.clone());
-        let logits = head.forward(&features, train);
-        self.cached_features = Some(features);
-        logits
-    }
-
-    /// Forward pass that also returns the penultimate activations
-    /// (the input to the final layer).
-    ///
-    /// Returns `(features, logits)`.
-    pub fn forward_with_features(&mut self, x: &Tensor, train: bool) -> (Tensor, Tensor) {
-        let logits = self.forward(x, train);
-        let features = self
-            .cached_features
-            .take()
-            .expect("forward_with_features on an empty network");
+        let logits = head.infer(&features);
         (features, logits)
     }
 
-    /// Full backward pass; returns the gradient with respect to the input.
-    pub fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
-        let mut g = grad_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+    /// Full backward pass after a training [`Network::forward`]:
+    /// accumulates every parameter gradient. The gradient w.r.t. the
+    /// network's input is not computed; nothing reads it, so the first
+    /// layer back-propagates into its parameters only.
+    pub fn backward(&mut self, grad_logits: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_logits)));
         }
-        g
+        first.backward_params(g.as_ref().unwrap_or(grad_logits));
     }
 
     /// Visits every parameter of every layer, in order.
@@ -146,8 +159,8 @@ impl Network {
     }
 
     /// Predicted class per row (eval-mode forward + argmax).
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
-        let logits = self.forward(x, false);
+    pub fn predict(&self, x: &Tensor) -> Vec<usize> {
+        let logits = self.infer(x);
         let (n, c) = (logits.dim(0), logits.dim(1));
         (0..n)
             .map(|i| {
@@ -203,20 +216,71 @@ mod tests {
     }
 
     #[test]
-    fn forward_with_features_exposes_penultimate() {
+    fn infer_with_features_exposes_penultimate() {
         let mut rng = Rng64::new(1);
         let mut net = mlp(&[6, 12, 3], &mut rng);
         let x = Tensor::randn(&[4, 6], 0.0, 1.0, &mut rng);
-        let (feats, logits) = net.forward_with_features(&x, false);
+        let (feats, logits) = net.infer_with_features(&x);
         assert_eq!(feats.shape().dims(), &[4, 12]);
         assert_eq!(logits.shape().dims(), &[4, 3]);
-        // The features are the ReLU output, and a second call returns the
-        // same pair (the cache is refilled by every forward).
+        // The features are the ReLU output, and the logits are what both
+        // forward modes compute.
         assert!(feats.as_slice().iter().all(|&v| v >= 0.0));
-        assert_eq!(net.forward_with_features(&x, true), (feats, logits));
+        assert_eq!(net.forward(&x, false), logits);
+        assert_eq!(net.forward(&x, true), logits);
         // A one-layer network's features are its input.
-        let mut linear = mlp(&[6, 3], &mut rng);
-        assert_eq!(linear.forward_with_features(&x, false).0, x);
+        let linear = mlp(&[6, 3], &mut rng);
+        assert_eq!(linear.infer_with_features(&x).0, x);
+    }
+
+    #[test]
+    fn backward_skips_only_the_input_gradient() {
+        // The first layer's input gradient is not computed; every
+        // parameter gradient is bit-identical to a full layer-by-layer
+        // backward that also computes it.
+        let mut rng = Rng64::new(4);
+        let mut net = mlp(&[5, 7, 6, 3], &mut rng);
+        let mut layers = vec![
+            Linear::new(5, 7, &mut rng),
+            Linear::new(7, 6, &mut rng),
+            Linear::new(6, 3, &mut rng),
+        ];
+        let weights = net.export_weights();
+        let mut i = 0;
+        for l in &mut layers {
+            l.visit_params(&mut |p| {
+                p.value = weights[i].clone();
+                i += 1;
+            });
+        }
+        let x = Tensor::randn(&[4, 5], 0.0, 1.0, &mut rng);
+        let g = Tensor::randn(&[4, 3], 0.0, 1.0, &mut rng);
+        net.forward(&x, true);
+        net.backward(&g);
+        let mut relus = [Relu::new(), Relu::new()];
+        let h = layers[0].forward_train(&x);
+        let h = relus[0].forward_train(&h);
+        let h = layers[1].forward_train(&h);
+        let h = relus[1].forward_train(&h);
+        layers[2].forward_train(&h);
+        let d = layers[2].backward(&g);
+        let d = relus[1].backward(&d);
+        let d = layers[1].backward(&d);
+        let d = relus[0].backward(&d);
+        let dx = layers[0].backward(&d);
+        assert_eq!(dx.shape().dims(), &[4, 5]);
+        let mut expect = Vec::new();
+        for l in &mut layers {
+            l.visit_params(&mut |p| expect.push(p.grad.clone()));
+        }
+        let mut got = Vec::new();
+        net.visit_params(&mut |p| got.push(p.grad.clone()));
+        let bits = |ts: &[Tensor]| -> Vec<u32> {
+            ts.iter()
+                .flat_map(|t| t.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&got), bits(&expect));
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::metrics::SelectMetrics;
 use crate::{fraction_count, group_by_class, SelectError, Selection};
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Options for [`select_per_class`].
 #[derive(Debug, Clone)]
@@ -26,6 +27,11 @@ pub struct CraigOptions {
     /// Telemetry handles updated while the kernel runs (`None` = no
     /// instrumentation).
     pub metrics: Option<SelectMetrics>,
+    /// Threads the per-class bodies run on, the calling thread included
+    /// (0 counts as 1). Each class draws only from its own pre-split RNG
+    /// stream and the results merge in class order, so the selection is
+    /// bit-identical at any count.
+    pub workers: usize,
 }
 
 impl Default for CraigOptions {
@@ -34,12 +40,14 @@ impl Default for CraigOptions {
             variant: GreedyVariant::Lazy,
             partition_chunk: None,
             metrics: None,
+            workers: 1,
         }
     }
 }
 
-// Metrics handles are identity-less instrumentation plumbing; equality of
-// options is about the algorithm they configure.
+// Metrics handles are identity-less instrumentation plumbing and the
+// worker count changes no pick; equality of options is about the
+// algorithm they configure.
 impl PartialEq for CraigOptions {
     fn eq(&self, other: &Self) -> bool {
         self.variant == other.variant && self.partition_chunk == other.partition_chunk
@@ -74,26 +82,56 @@ pub fn select_per_class(
     run_per_class(&sim_of, &by_class, fraction, options, rng)
 }
 
-/// Runs the per-class selection bodies in class order. RNGs are
-/// pre-split per class before any class draws, so each class's picks
-/// depend only on its own stream.
+/// How a member set becomes its similarity matrix; shared by every
+/// per-class worker thread.
+type SimilarityFn<'a> = dyn Fn(&[usize]) -> SimilarityMatrix + Sync + 'a;
+
+/// Runs the per-class selection bodies on up to `options.workers`
+/// threads and merges them in class order. RNGs are pre-split per class
+/// before any class draws, so each class's picks depend only on its own
+/// stream, never on which thread ran it or when. The first error in class
+/// order is returned, as a class-by-class loop would return it.
 fn run_per_class(
-    sim_of: &dyn Fn(&[usize]) -> SimilarityMatrix,
+    sim_of: &SimilarityFn<'_>,
     by_class: &[Vec<usize>],
     fraction: f32,
     options: &CraigOptions,
     rng: &mut Rng64,
 ) -> Result<Selection, SelectError> {
     let class_rngs: Vec<Rng64> = by_class.iter().map(|_| rng.split()).collect();
+    // Each thread claims the next unclaimed class until none is left, so
+    // one large class does not hold the others up.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let class = next.fetch_add(1, Ordering::Relaxed);
+            let (Some(members), Some(class_rng)) = (by_class.get(class), class_rngs.get(class))
+            else {
+                return done;
+            };
+            let picked =
+                select_one_class_with(sim_of, members, fraction, options, &mut class_rng.clone());
+            done.push((class, picked));
+        }
+    };
+    let (mut results, joined) = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..options.workers.min(by_class.len()))
+            .map(|_| s.spawn(work))
+            .collect();
+        let own = work();
+        let joined: Vec<_> = helpers.into_iter().map(|h| h.join()).collect();
+        (own, joined)
+    });
+    for helper in joined {
+        results.extend(
+            helper.map_err(|_| SelectError::Internal("per-class selection worker panicked"))?,
+        );
+    }
+    results.sort_by_key(|&(class, _)| class);
     let mut merged = Selection::default();
-    for (members, mut class_rng) in by_class.iter().zip(class_rngs) {
-        merged.extend(select_one_class_with(
-            sim_of,
-            members,
-            fraction,
-            options,
-            &mut class_rng,
-        )?);
+    for (_, picked) in results {
+        merged.extend(picked?);
     }
     Ok(merged)
 }
@@ -138,7 +176,7 @@ pub fn select_per_class_factored(
 /// Shared per-class body, generic over how a member set becomes a
 /// similarity matrix.
 fn select_one_class_with(
-    sim_of: &dyn Fn(&[usize]) -> SimilarityMatrix,
+    sim_of: &SimilarityFn<'_>,
     members: &[usize],
     fraction: f32,
     options: &CraigOptions,

@@ -5,7 +5,9 @@
 //! counters, a marginal-gain histogram, and class/chunk progress counters.
 //! Handles are `Arc`-backed clones into a [`nessa_telemetry::Telemetry`]
 //! registry, so they are cheap to clone into worker threads and safe to
-//! update concurrently.
+//! update concurrently. Their totals do not depend on the order of the
+//! updates (the histogram sums integer nanounits, and min/max commute),
+//! so per-class worker threads leave the same totals as one thread.
 
 use nessa_telemetry::{Counter, Histogram, Telemetry};
 

@@ -2,7 +2,7 @@
 
 use nessa_select::craig::{select_per_class, select_per_class_factored, CraigOptions};
 use nessa_select::facility::{maximize, GreedyVariant, SimilarityMatrix};
-use nessa_select::{fraction_count, kcenters, kmedoids, random};
+use nessa_select::{fraction_count, kcenters, kmedoids, random, SelectMetrics};
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
 use proptest::prelude::*;
@@ -15,6 +15,26 @@ fn features(n: usize, d: usize, seed: u64) -> Tensor {
 fn labels(n: usize, classes: usize, seed: u64) -> Vec<usize> {
     let mut rng = Rng64::new(seed);
     (0..n).map(|_| rng.index(classes)).collect()
+}
+
+fn variant(pick: usize, epsilon: f32) -> GreedyVariant {
+    match pick {
+        0 => GreedyVariant::Naive,
+        1 => GreedyVariant::Lazy,
+        _ => GreedyVariant::Stochastic { epsilon },
+    }
+}
+
+/// Every total a [`SelectMetrics`] handle keeps.
+fn metric_totals(m: &SelectMetrics) -> [u64; 6] {
+    [
+        m.rounds.get(),
+        m.gain_evals.get(),
+        m.classes.get(),
+        m.chunks.get(),
+        m.marginal_gain.count(),
+        m.marginal_gain.sum().to_bits(),
+    ]
 }
 
 proptest! {
@@ -101,5 +121,41 @@ proptest! {
         let sel = random::select(n, k, &mut rng);
         let total: f32 = sel.weights.iter().sum();
         prop_assert!((total - n as f32).abs() < 1e-2);
+    }
+
+    #[test]
+    fn craig_picks_do_not_depend_on_worker_count(
+        n in 1usize..80,
+        present in 1usize..5,
+        empty in 0usize..3,
+        f in 0.05f32..1.0,
+        chunk in 0usize..12,
+        pick in 0usize..3,
+        epsilon in 0.05f32..0.5,
+        seed in any::<u64>(),
+    ) {
+        // `empty` declared classes beyond the `present` ones get no
+        // members; chunk 0 turns partitioning off.
+        let classes = present + empty;
+        let ys = labels(n, present, seed ^ 7);
+        let a = features(n, 3, seed);
+        let b = features(n, 5, seed ^ 8);
+        let run = |workers: usize| {
+            let metrics = SelectMetrics::default();
+            let opts = CraigOptions {
+                variant: variant(pick, epsilon),
+                partition_chunk: (chunk > 0).then_some(chunk),
+                metrics: Some(metrics.clone()),
+                workers,
+            };
+            let mut rng = Rng64::new(seed ^ 9);
+            let sel = select_per_class_factored(&a, &b, &ys, classes, f, &opts, &mut rng).unwrap();
+            let weights: Vec<u32> = sel.weights.iter().map(|w| w.to_bits()).collect();
+            (sel.indices, weights, metric_totals(&metrics), rng.next_u64())
+        };
+        let serial = run(1);
+        for workers in [2, 3, 8] {
+            prop_assert_eq!(&run(workers), &serial, "{} workers", workers);
+        }
     }
 }

@@ -340,9 +340,10 @@ fn push_item(
         base,
         current,
         delta_pct,
-        // A metric absent (zero) in the baseline has no meaningful
-        // relative change; report it but never gate it.
-        gated: gated && base != 0.0,
+        // A gated metric is simulated and deterministic, so one that
+        // leaves a zero baseline (a phase that starts costing sim time)
+        // has regressed without bound.
+        gated,
     });
 }
 
@@ -584,11 +585,13 @@ mod tests {
     }
 
     #[test]
-    fn new_phase_is_reported_but_not_gated() {
+    fn sim_cost_leaving_a_zero_baseline_fails_the_gate() {
         let base = RunSummary::from_trace(&trace_with_epoch_sims(&[1.0]));
+        // The fixture's `train` phase costs 0 sim seconds.
+        assert_eq!(base.phase_sim["train"].total, 0.0);
         let mut cur = base.clone();
         cur.phase_sim.insert(
-            "newphase".into(),
+            "train".into(),
             PhaseSummary {
                 total: 5.0,
                 quantiles: Quantiles {
@@ -599,14 +602,20 @@ mod tests {
             },
         );
         let report = diff_runs(&base, &cur, DiffGates::default());
-        assert!(report.passed());
+        assert!(!report.passed());
         let item = report
             .items
             .iter()
-            .find(|i| i.metric == "phase.newphase.sim_total")
+            .find(|i| i.metric == "phase.train.sim_total")
             .unwrap();
-        assert!(!item.gated);
-        assert!(item.delta_pct.is_infinite());
+        assert!(item.gated);
+        assert_eq!(item.delta_pct, f64::INFINITY);
+        // A zero that stays zero is no change.
+        assert!(diff_runs(&base, &base, DiffGates::default()).passed());
+        // Wall items stay ungated, from a zero baseline too.
+        let mut wall_base = base.clone();
+        wall_base.phase_wall.get_mut("train").unwrap().total = 0.0;
+        assert!(diff_runs(&wall_base, &base, DiffGates::default()).passed());
     }
 
     #[test]
